@@ -26,9 +26,10 @@ __all__ = ["generate_configuration_model", "configuration_model_edges"]
 def configuration_model_edges(degrees: np.ndarray, rng: RNGLike = None) -> np.ndarray:
     """Stub-pairing edge list for the given degree sequence.
 
-    Returns an ``(m, 2)`` int64 array of undirected edges with self-loops
-    and duplicate edges removed.  Node ``i`` receives ``degrees[i]`` stubs;
-    an odd total is fixed up by :func:`make_sum_even`.
+    Returns an ``(m, 2)`` int64 array of undirected ``(lo, hi)`` edges in
+    lexicographic order, with self-loops and duplicate edges removed.  Node
+    ``i`` receives ``degrees[i]`` stubs; an odd total is fixed up by
+    :func:`make_sum_even`.
     """
     degrees = check_integer_array(degrees, "degrees", minimum=0)
     gen = as_generator(rng)
@@ -40,10 +41,11 @@ def configuration_model_edges(degrees: np.ndarray, rng: RNGLike = None) -> np.nd
     pairs = stubs.reshape(-1, 2)
     # drop self-loops
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    # canonical order then dedupe multi-edges
+    # canonical (lo, hi) order, then dedupe multi-edges on one packed key
+    # per pair; the unique keys come back in lexicographic (lo, hi) order
     pairs = np.sort(pairs, axis=1)
-    pairs = np.unique(pairs, axis=0)
-    return pairs
+    keys = np.unique((pairs[:, 0] << 32) | pairs[:, 1])
+    return np.column_stack([keys >> 32, keys & 0xFFFFFFFF])
 
 
 def generate_configuration_model(degrees: np.ndarray, rng: RNGLike = None) -> nx.Graph:

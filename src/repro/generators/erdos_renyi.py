@@ -38,15 +38,19 @@ def erdos_renyi_edges(n_nodes: int, p: float, rng: RNGLike = None) -> np.ndarray
     gen = as_generator(rng)
     if p == 0.0 or n_nodes < 2:
         return np.zeros((0, 2), dtype=np.int64)
-    if p == 1.0:
-        i, j = np.triu_indices(n_nodes, k=1)
-        return np.column_stack([i, j]).astype(np.int64)
-    if n_nodes <= _DENSE_LIMIT:
-        i, j = np.triu_indices(n_nodes, k=1)
-        mask = gen.random(i.size) < p
-        return np.column_stack([i[mask], j[mask]]).astype(np.int64)
-    # sparse path: geometric skipping over the flattened upper triangle
     total_pairs = n_nodes * (n_nodes - 1) // 2
+    if p == 1.0 or n_nodes <= _DENSE_LIMIT:
+        # one uniform draw per pair of the row-major upper triangle; map the
+        # kept flat indices back to (i, j) through each row's start offset
+        if p == 1.0:
+            flat = np.arange(total_pairs, dtype=np.int64)
+        else:
+            flat = np.flatnonzero(gen.random(total_pairs) < p)
+        rows = np.arange(n_nodes - 1, dtype=np.int64)
+        row_start = rows * n_nodes - rows * (rows + 1) // 2
+        i = np.searchsorted(row_start, flat, side="right") - 1
+        return np.column_stack([i, flat - row_start[i] + i + 1])
+    # sparse path: geometric skipping over the flattened upper triangle
     expected = int(total_pairs * p * 1.2) + 16
     positions: list[np.ndarray] = []
     pos = -1

@@ -16,11 +16,17 @@ Node ids are consecutive integers with the classes occupying disjoint
 ranges, recorded in the returned :class:`PALUGraph` so experiments can check
 class-level predictions (e.g. the expected class fractions of Section IV)
 without re-deriving membership from the topology.
+
+The network is assembled as an ``(m, 2)`` edge array of ``u < v`` pairs in
+lexicographic order, which is the order ``networkx`` lists the edges of the
+same graph.  A :class:`networkx.Graph` is only built when
+:attr:`PALUGraph.graph` is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -31,7 +37,7 @@ from repro.core.palu_model import PALUParameters
 from repro.generators.configuration_model import configuration_model_edges
 from repro.generators.degree_sequence import sample_power_law_degrees
 from repro.generators.poisson_stars import poisson_star_edges
-from repro.generators.preferential_attachment import generate_shifted_preferential_attachment
+from repro.generators.preferential_attachment import shifted_preferential_attachment_edges
 
 __all__ = ["PALUGraph", "generate_palu_graph"]
 
@@ -42,30 +48,38 @@ class PALUGraph:
 
     Attributes
     ----------
-    graph:
-        The underlying network (isolated star centres included as nodes).
+    edges:
+        ``(m, 2)`` int64 array of ``u < v`` edges in lexicographic order
+        (read-only).
+    n_nodes:
+        Total number of underlying nodes (including isolated star centres);
+        node ids are ``0..n_nodes-1``.
     core_nodes, leaf_nodes, star_centres, star_leaves:
         Node-id arrays for each class.
     parameters:
         The :class:`~repro.core.palu_model.PALUParameters` used to build it.
     """
 
-    graph: nx.Graph
+    edges: np.ndarray
+    n_nodes: int
     core_nodes: np.ndarray
     leaf_nodes: np.ndarray
     star_centres: np.ndarray
     star_leaves: np.ndarray
     parameters: PALUParameters
 
-    @property
-    def n_nodes(self) -> int:
-        """Total number of underlying nodes (including isolated centres)."""
-        return self.graph.number_of_nodes()
+    @cached_property
+    def graph(self) -> nx.Graph:
+        """The underlying network as a graph, built on first access."""
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.n_nodes))
+        graph.add_edges_from(self.edges.tolist())
+        return graph
 
     @property
     def n_edges(self) -> int:
         """Total number of underlying edges."""
-        return self.graph.number_of_edges()
+        return int(self.edges.shape[0])
 
     def class_of(self) -> dict:
         """Mapping node id → class name (``core``/``leaf``/``centre``/``star_leaf``)."""
@@ -86,10 +100,8 @@ class PALUGraph:
         }
 
     def edges_array(self) -> np.ndarray:
-        """All underlying edges as an ``(m, 2)`` int64 array."""
-        if self.graph.number_of_edges() == 0:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.asarray(list(self.graph.edges()), dtype=np.int64)
+        """All underlying edges as an ``(m, 2)`` int64 array (read-only)."""
+        return self.edges
 
 
 def _build_core(
@@ -99,15 +111,14 @@ def _build_core(
     core_dmax: int,
     gen: np.random.Generator,
 ) -> np.ndarray:
-    """Edge array of the core on node ids ``0..n_core-1``."""
+    """Sorted, unique ``(lo, hi)`` edge array of the core on node ids ``0..n_core-1``."""
     if n_core < 2:
         return np.zeros((0, 2), dtype=np.int64)
     if core_model == "configuration":
         degrees = sample_power_law_degrees(n_core, alpha, dmax=core_dmax, rng=gen)
         return configuration_model_edges(degrees, rng=gen)
     if core_model == "preferential-attachment":
-        graph = generate_shifted_preferential_attachment(n_core, 1, alpha=alpha, rng=gen)
-        return np.asarray(list(graph.edges()), dtype=np.int64)
+        return shifted_preferential_attachment_edges(n_core, 1, alpha=alpha, rng=gen)
     raise ValueError(
         f"unknown core_model {core_model!r}; expected 'configuration' or 'preferential-attachment'"
     )
@@ -156,46 +167,35 @@ def generate_palu_graph(
     n_centres = int(round(parameters.unattached * n_nodes))
 
     core_dmax = int(core_dmax) if core_dmax is not None else max(1000, n_core)
-    core_edges = _build_core(n_core, parameters.alpha, core_model, core_dmax, gen)
-
-    graph = nx.Graph()
+    edges = _build_core(n_core, parameters.alpha, core_model, core_dmax, gen)
     core_nodes = np.arange(n_core, dtype=np.int64)
-    graph.add_nodes_from(core_nodes.tolist())
-    graph.add_edges_from(map(tuple, core_edges.tolist()))
 
     # leaves attach preferentially to high-degree core nodes so that
     # supernodes accumulate the "supernode leaves" of Figure 2
     leaf_nodes = np.arange(n_core, n_core + n_leaves, dtype=np.int64)
     if n_leaves > 0 and n_core > 0:
-        core_degrees = np.fromiter(
-            (graph.degree(int(n)) for n in core_nodes), dtype=np.float64, count=n_core
-        )
-        weights = core_degrees + 1.0  # +1 keeps zero-degree cores reachable
+        # core degrees; +1 keeps zero-degree cores reachable
+        weights = np.bincount(edges.ravel(), minlength=n_core) + 1.0
         weights /= weights.sum()
         anchors = gen.choice(n_core, size=n_leaves, replace=True, p=weights)
-        graph.add_edges_from(zip(leaf_nodes.tolist(), anchors.tolist()))
-    else:
-        graph.add_nodes_from(leaf_nodes.tolist())
+        lo = np.concatenate([edges[:, 0], anchors])
+        hi = np.concatenate([edges[:, 1], leaf_nodes])
+        order = np.lexsort((hi, lo))
+        edges = np.column_stack([lo[order], hi[order]])
 
-    # unattached Poisson stars, offset past core + leaves
+    # unattached Poisson stars, offset past core + leaves; their (centre,
+    # leaf) pairs already sort after every core and leaf edge
     offset = n_core + n_leaves
-    stars = poisson_star_edges(n_centres, parameters.lam, rng=gen) if n_centres > 0 else None
-    if stars is not None and stars.n_nodes > 0:
-        star_centres = stars.centre_ids + offset
-        star_leaves = np.arange(offset + n_centres, offset + stars.n_nodes, dtype=np.int64)
-        graph.add_nodes_from(star_centres.tolist())
-        graph.add_nodes_from(star_leaves.tolist())
-        if stars.edges.size:
-            graph.add_edges_from(map(tuple, (stars.edges + offset).tolist()))
-    else:
-        star_centres = np.zeros(0, dtype=np.int64)
-        star_leaves = np.zeros(0, dtype=np.int64)
+    stars = poisson_star_edges(n_centres, parameters.lam, rng=gen)
+    edges = np.concatenate([edges, stars.edges + offset])
+    edges.setflags(write=False)
 
     return PALUGraph(
-        graph=graph,
+        edges=edges,
+        n_nodes=offset + stars.n_nodes,
         core_nodes=core_nodes,
         leaf_nodes=leaf_nodes,
-        star_centres=star_centres,
-        star_leaves=star_leaves,
+        star_centres=stars.centre_ids + offset,
+        star_leaves=np.arange(offset + n_centres, offset + stars.n_nodes, dtype=np.int64),
         parameters=parameters,
     )

@@ -16,7 +16,9 @@ range over ``[1.5, 3]``.  Two generators are provided:
   accepts a target ``α`` directly.
 
 Both return :class:`networkx.Graph` objects whose nodes are labelled
-``0..n-1`` in order of arrival.
+``0..n-1`` in order of arrival.  :func:`shifted_preferential_attachment_edges`
+returns the shifted-kernel network as a plain edge array instead, for the
+builders that never need a graph object.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro._util.validation import check_in_range, check_positive_int
 __all__ = [
     "generate_preferential_attachment",
     "generate_shifted_preferential_attachment",
+    "shifted_preferential_attachment_edges",
     "attachment_shift_for_alpha",
 ]
 
@@ -97,22 +100,40 @@ def attachment_shift_for_alpha(alpha: float, m_edges: int = 1) -> float:
     return shift
 
 
-def generate_shifted_preferential_attachment(
-    n_nodes: int,
-    m_edges: int = 1,
-    *,
-    alpha: float | None = None,
-    shift: float | None = None,
-    rng: RNGLike = None,
-) -> nx.Graph:
-    """Preferential attachment with the shifted kernel ``Π(k) ∝ k + a``.
+def _choice_without_replacement(p: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
+    """``gen.choice(p.size, size, replace=False, p=p)`` minus its argument checks.
 
-    Exactly one of *alpha* (target asymptotic exponent, converted through
-    :func:`attachment_shift_for_alpha`) or *shift* (the kernel shift ``a``
-    itself) must be given.  Sampling uses an explicit degree array with
-    rejection against the current maximum kernel value, which keeps the
-    per-step cost low without maintaining auxiliary structures.
+    Replays numpy's weighted draw loop step for step: the same
+    ``gen.random`` calls, the same ``cumsum`` / normalise / right-side
+    ``searchsorted`` arithmetic and the same first-occurrence dedupe.  The
+    result and the generator state afterwards are therefore bit-identical to
+    the library call.  *p* is consumed: drawn entries are zeroed in place.
     """
+    found = np.empty(size, dtype=np.int64)
+    n_found = 0
+    while n_found < size:
+        x = gen.random((size - n_found,))
+        if n_found:
+            p[found[:n_found]] = 0
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        new = cdf.searchsorted(x, side="right")
+        if new.size > 1:
+            _, first = np.unique(new, return_index=True)
+            new = new[np.sort(first)]
+        found[n_found:n_found + new.size] = new
+        n_found += new.size
+    return found
+
+
+def _shifted_growth(
+    n_nodes: int,
+    m_edges: int,
+    alpha: float | None,
+    shift: float | None,
+    rng: RNGLike,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grow the shifted-kernel process; arrival-ordered ``(sources, targets)``."""
     n_nodes = check_positive_int(n_nodes, "n_nodes", minimum=2)
     m_edges = check_positive_int(m_edges, "m_edges")
     if m_edges >= n_nodes:
@@ -127,22 +148,62 @@ def generate_shifted_preferential_attachment(
     gen = as_generator(rng)
 
     degrees = np.zeros(n_nodes, dtype=np.float64)
+    targets = np.empty((n_nodes - m_edges, m_edges), dtype=np.int64)
+    # seed star: node m_edges attached to nodes 0..m_edges-1
+    targets[0] = np.arange(m_edges)
+    degrees[:m_edges] = 1.0
+    degrees[m_edges] = m_edges
+    for source in range(m_edges + 1, n_nodes):
+        kernel = degrees[:source] + shift
+        np.maximum(kernel, 1e-12, out=kernel)
+        kernel /= kernel.sum()
+        chosen = _choice_without_replacement(kernel, m_edges, gen)
+        targets[source - m_edges] = chosen
+        degrees[chosen] += 1.0
+        degrees[source] = m_edges
+    sources = np.repeat(np.arange(m_edges, n_nodes, dtype=np.int64), m_edges)
+    return sources, targets.ravel()
+
+
+def shifted_preferential_attachment_edges(
+    n_nodes: int,
+    m_edges: int = 1,
+    *,
+    alpha: float | None = None,
+    shift: float | None = None,
+    rng: RNGLike = None,
+) -> np.ndarray:
+    """Shifted-kernel preferential attachment as an ``(m, 2)`` int64 edge array.
+
+    Takes the arguments of :func:`generate_shifted_preferential_attachment`
+    and consumes the generator identically.  Rows are ``(older, newer)``
+    pairs in lexicographic order, which is the order ``networkx`` lists the
+    edges of the equivalent graph.
+    """
+    sources, targets = _shifted_growth(n_nodes, m_edges, alpha, shift, rng)
+    order = np.lexsort((sources, targets))
+    return np.column_stack([targets[order], sources[order]])
+
+
+def generate_shifted_preferential_attachment(
+    n_nodes: int,
+    m_edges: int = 1,
+    *,
+    alpha: float | None = None,
+    shift: float | None = None,
+    rng: RNGLike = None,
+) -> nx.Graph:
+    """Preferential attachment with the shifted kernel ``Π(k) ∝ k + a``.
+
+    Exactly one of *alpha* (target asymptotic exponent, converted through
+    :func:`attachment_shift_for_alpha`) or *shift* (the kernel shift ``a``
+    itself) must be given.  Each new node draws its ``m_edges`` distinct
+    targets with probability proportional to the clipped kernel of the
+    current degrees.
+    """
+    sources, targets = _shifted_growth(n_nodes, m_edges, alpha, shift, rng)
     graph = nx.Graph()
     graph.add_nodes_from(range(n_nodes))
-    # seed star
-    for t in range(m_edges):
-        graph.add_edge(m_edges, t)
-        degrees[t] += 1
-        degrees[m_edges] += 1
-
-    for source in range(m_edges + 1, n_nodes):
-        existing = source  # nodes 0..source-1 are already grown
-        kernel = degrees[:existing] + shift
-        kernel = np.clip(kernel, 1e-12, None)
-        probabilities = kernel / kernel.sum()
-        targets = gen.choice(existing, size=min(m_edges, existing), replace=False, p=probabilities)
-        for t in targets:
-            graph.add_edge(source, int(t))
-            degrees[int(t)] += 1
-            degrees[source] += 1
+    # arrival order gives every node the adjacency order of the growth itself
+    graph.add_edges_from(zip(sources.tolist(), targets.tolist()))
     return graph

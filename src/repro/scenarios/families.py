@@ -27,7 +27,7 @@ from repro.generators.degree_sequence import sample_power_law_degrees
 from repro.generators.erdos_renyi import erdos_renyi_edges
 from repro.generators.palu_graph import generate_palu_graph
 from repro.generators.poisson_stars import poisson_star_edges
-from repro.generators.preferential_attachment import generate_shifted_preferential_attachment
+from repro.generators.preferential_attachment import shifted_preferential_attachment_edges
 
 __all__ = ["GRAPH_FAMILY_NAMES", "family_defaults", "validate_family", "build_family_edges"]
 
@@ -44,10 +44,9 @@ def _configuration(params: Mapping[str, float], gen: np.random.Generator) -> np.
 
 
 def _preferential_attachment(params: Mapping[str, float], gen: np.random.Generator) -> np.ndarray:
-    graph = generate_shifted_preferential_attachment(
+    return shifted_preferential_attachment_edges(
         int(params["n_nodes"]), int(params["m_edges"]), alpha=float(params["alpha"]), rng=gen
     )
-    return np.asarray(list(graph.edges()), dtype=np.int64)
 
 
 def _palu(params: Mapping[str, float], gen: np.random.Generator) -> np.ndarray:

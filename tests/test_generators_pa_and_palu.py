@@ -11,9 +11,11 @@ from repro.core.palu_model import PALUParameters
 from repro.core.powerlaw_fit import fit_discrete_mle
 from repro.generators.palu_graph import generate_palu_graph
 from repro.generators.preferential_attachment import (
+    _choice_without_replacement,
     attachment_shift_for_alpha,
     generate_preferential_attachment,
     generate_shifted_preferential_attachment,
+    shifted_preferential_attachment_edges,
 )
 from repro.generators.sampling import node_sample, sample_edges, sample_edges_array, webcrawl_sample
 
@@ -76,6 +78,29 @@ class TestShiftedPreferentialAttachment:
     def test_graph_size(self):
         g = generate_shifted_preferential_attachment(500, 1, alpha=2.5, rng=5)
         assert g.number_of_nodes() == 500
+
+    @pytest.mark.parametrize("m_edges", [1, 2, 3])
+    def test_edge_array_is_the_graphs_edge_list(self, m_edges):
+        g = generate_shifted_preferential_attachment(300, m_edges, alpha=2.5, rng=6)
+        edges = shifted_preferential_attachment_edges(300, m_edges, alpha=2.5, rng=6)
+        assert edges.dtype == np.int64
+        assert edges.tolist() == [list(e) for e in g.edges()]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_choice_replica_matches_numpy(self, seed):
+        """The growth loop's weighted draw replays ``Generator.choice``: same
+        result and the same generator state afterwards."""
+        r = np.random.default_rng(seed)
+        n = int(r.integers(1, 40))
+        size = int(r.integers(1, n + 1))
+        weights = r.random(n) ** 3
+        weights[r.random(n) < 0.3] = 0.0
+        weights[:size] += 0.1  # at least `size` non-zero entries
+        p = weights / weights.sum()
+        library, replica = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        expected = library.choice(n, size=size, replace=False, p=p)
+        np.testing.assert_array_equal(_choice_without_replacement(p.copy(), size, replica), expected)
+        assert library.random() == replica.random()
 
 
 class TestPALUGraph:
@@ -145,6 +170,12 @@ class TestPALUGraph:
         edges = palu.edges_array()
         assert edges.shape[1] == 2
         assert edges.shape[0] == palu.n_edges
+
+    def test_edges_array_is_the_graphs_edge_list(self, params):
+        palu = generate_palu_graph(params, n_nodes=2000, rng=8)
+        assert palu.edges_array().tolist() == [list(e) for e in palu.graph.edges()]
+        assert list(palu.graph.nodes()) == list(range(palu.n_nodes))
+        assert palu.graph is palu.graph  # built once, on first access
 
     def test_class_of_mapping_covers_all_nodes(self, params):
         palu = generate_palu_graph(params, n_nodes=2000, rng=7)

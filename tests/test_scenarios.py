@@ -61,6 +61,16 @@ class TestFamilies:
         defaults["p"] = 0.5
         assert family_defaults("erdos-renyi")["p"] != 0.5
 
+    def test_families_never_build_a_networkx_graph(self, monkeypatch):
+        import networkx as nx
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scenario graph synthesis built a networkx graph")
+
+        monkeypatch.setattr(nx, "Graph", refuse)
+        for family in GRAPH_FAMILY_NAMES:
+            assert build_family_edges(family, {}, np.random.default_rng(0)).shape[0] > 0
+
 
 class TestScenarioValidation:
     def test_phase_budget_accounting(self):
