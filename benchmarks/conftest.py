@@ -13,11 +13,14 @@ from __future__ import annotations
 import json
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.streaming.parallel import usable_cpu_count
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def machine_metadata(timing: str) -> dict:
@@ -44,6 +47,36 @@ def machine_metadata(timing: str) -> dict:
 def machine_meta():
     """The :func:`machine_metadata` helper, injectable into artifact writers."""
     return machine_metadata
+
+
+@pytest.fixture()
+def recording(request) -> bool:
+    """Whether this run records the committed ``BENCH_*.json`` artifacts.
+
+    True when test paths were named on the command line (``pytest
+    benchmarks/...``, as the CI bench steps do).  A bare ``pytest`` from the
+    root also collects this directory, but it neither rewrites the committed
+    artifacts, and so the docs generated from them, nor asserts the
+    machine-dependent timing claims those artifacts record.
+    """
+    return request.config.args_source == pytest.Config.ArgsSource.ARGS
+
+
+@pytest.fixture()
+def write_artifact(recording, tmp_path):
+    """Write a ``BENCH_*.json`` report; returns the path it went to.
+
+    The report goes to the repo root when :func:`recording`, otherwise to a
+    temporary directory.
+    """
+    out_dir = REPO_ROOT if recording else tmp_path
+
+    def _write(name: str, report: dict) -> Path:
+        path = out_dir / name
+        path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+        return path
+
+    return _write
 
 
 def attach_rows(benchmark, rows) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -24,7 +23,6 @@ pytestmark = pytest.mark.slow
 SEEDS = (0, 1)
 SCENARIOS = ("stationary", "alpha-drift", "flash-crowd")
 N_VALID = 5_000
-ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_campaigns.json"
 
 _RESULTS: dict[str, dict] = {}
 
@@ -81,7 +79,7 @@ def test_bench_campaign_sweep(benchmark, tmp_path, case, pool, prewarm):
     benchmark.extra_info["rows"] = [json.loads(json.dumps(row, default=str))]
 
 
-def test_bench_campaign_artifact(machine_meta):
+def test_bench_campaign_artifact(machine_meta, write_artifact):
     """Write the campaign benchmark artifact (runs after the timed cases)."""
     if not _RESULTS:
         pytest.skip("no campaign timings collected in this run")
@@ -94,5 +92,5 @@ def test_bench_campaign_artifact(machine_meta):
         "cases": _RESULTS,
         "cold_over_warm": round(cold / warm, 2) if cold and warm else None,
     }
-    ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    assert ARTIFACT_PATH.exists()
+    artifact = write_artifact("BENCH_campaigns.json", report)
+    assert artifact.exists()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -31,7 +30,6 @@ SCENARIOS = ("stationary", "alpha-drift")
 BACKENDS = ("serial", "streaming")
 ROUNDS = 3
 MAX_OVERHEAD_RATIO = 1.25
-ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_detection.json"
 
 _RESULTS: dict[str, dict] = {}
 
@@ -94,7 +92,7 @@ def test_bench_detection_overhead(benchmark, scenario, backend):
     benchmark.extra_info["rows"] = [json.loads(json.dumps(row, default=str))]
 
 
-def test_bench_detection_artifact(machine_meta):
+def test_bench_detection_artifact(machine_meta, write_artifact):
     """Aggregate, assert the ≤25% overhead contract, write the artifact."""
     if not _RESULTS:
         pytest.skip("no detection timings collected in this run")
@@ -112,7 +110,7 @@ def test_bench_detection_artifact(machine_meta):
         "machine": machine_meta("best-of-1 wall clock (time.perf_counter), rounds=1"),
         "cases": _RESULTS,
     }
-    ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    write_artifact("BENCH_detection.json", report)
     assert overall <= MAX_OVERHEAD_RATIO, (
         f"detection overhead {overall:.3f}× exceeds the {MAX_OVERHEAD_RATIO}× contract"
     )

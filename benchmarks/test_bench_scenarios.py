@@ -17,9 +17,7 @@ several-fold inflated number that trips ``tools/check_bench.py``.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +31,6 @@ CHUNK_PACKETS = 10_000
 SCENARIOS = ("stationary", "alpha-drift", "flash-crowd")
 ROUNDS = 3
 TIMING = f"best-of-{ROUNDS} wall clock (time.perf_counter), 1 warm-up round per case"
-ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
 
 _RESULTS: dict[str, dict] = {}
 _SERIAL_POOLED: dict[str, dict[str, np.ndarray]] = {}
@@ -80,7 +77,7 @@ def test_bench_scenarios(scenario, backend):
     _RESULTS[f"{scenario}/{backend}"] = row
 
 
-def test_bench_scenarios_artifact(machine_meta):
+def test_bench_scenarios_artifact(machine_meta, write_artifact):
     """Write the scenario benchmark artifact (runs after the timed cases)."""
     if not _RESULTS:
         pytest.skip("no scenario timings collected in this run")
@@ -92,5 +89,5 @@ def test_bench_scenarios_artifact(machine_meta):
         "machine": machine_meta(TIMING),
         "cases": _RESULTS,
     }
-    ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    assert ARTIFACT_PATH.is_file()
+    artifact = write_artifact("BENCH_scenarios.json", report)
+    assert artifact.is_file()

@@ -32,10 +32,8 @@ Timing method: each case is run once to warm pools/caches, then
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +46,6 @@ from repro.streaming.pipeline import analyze_trace
 
 SEED = 20210329
 TIMING = "best-of-k wall clock (time.perf_counter), 1 warm-up round, scale grid v2"
-ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_streaming_engine.json"
 
 #: scale name → trace/window geometry.  ``large``/``xlarge`` are the
 #: millions-of-packets rows where a parallel speedup claim is decidable.
@@ -185,7 +182,7 @@ def test_bench_parallel_wins():
     )
 
 
-def test_bench_streaming_engine_artifact(machine_meta):
+def test_bench_streaming_engine_artifact(machine_meta, write_artifact):
     """Write the grid artifact (runs after the timed cases)."""
     if not _RESULTS:
         pytest.skip("no timings collected in this run")
@@ -213,5 +210,5 @@ def test_bench_streaming_engine_artifact(machine_meta):
         "cases": _RESULTS,
         "speedup_vs_serial": speedups,
     }
-    ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    assert ARTIFACT_PATH.is_file()
+    artifact = write_artifact("BENCH_streaming_engine.json", report)
+    assert artifact.is_file()

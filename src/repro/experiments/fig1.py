@@ -39,7 +39,7 @@ def run_fig1(
     """
     params = default_palu_parameters()
     graph = generate_palu_graph(params, n_nodes=n_nodes, rng=rng)
-    trace = generate_trace(graph.graph, int(n_valid * 1.05), rate_model="zipf", rng=rng)
+    trace = generate_trace(graph, int(n_valid * 1.05), rate_model="zipf", rng=rng)
     window = next(iter_windows(trace, n_valid))
     image = traffic_image(window)
     quantities = network_quantities(image)

@@ -45,7 +45,7 @@ def run_table1(
     graph = generate_palu_graph(params, n_nodes=n_nodes, rng=rng)
     rows = []
     for n_valid in window_sizes:
-        trace = generate_trace(graph.graph, int(n_valid * 1.05), rng=rng)
+        trace = generate_trace(graph, int(n_valid * 1.05), rng=rng)
         window = next(iter_windows(trace, n_valid))
         image = traffic_image(window)
         matrix_form = compute_aggregates(image)

@@ -39,7 +39,7 @@ class TestGeneratedPages:
 
     @staticmethod
     def _mask_timings(text: str) -> str:
-        # running the benchmark harnesses (the tier-1 suite includes them)
+        # running a benchmark harness by name (`pytest benchmarks/...`)
         # rewrites the BENCH_*.json wall-clock numbers, so the pytest-level
         # freshness check must be timing-insensitive; the CI docs job does
         # the byte-exact `git diff` check against the committed artifacts

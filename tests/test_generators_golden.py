@@ -15,7 +15,10 @@ the same edge array.  This harness pins the SHA-256 of the edge-array bytes
 It also pins the node order and the adjacency (hence ``edges()``) order of
 the ``networkx`` graphs handed to the graph-sampling experiments.  A failure
 here without a deliberate generator change usually means a numpy upgrade
-changed the bit stream behind ``Generator.choice`` or ``shuffle``.  If a
+changed the bit stream behind ``Generator.random``, ``choice`` or
+``shuffle``.  Preferential attachment replays ``choice`` on top of
+``random``; ``tests/test_generators_pa_and_palu.py`` keeps that replay in
+step with the library.  If a
 deliberate change moves these digests, bump ``SPEC_FORMAT_VERSION``,
 regenerate and say so in the PR::
 
