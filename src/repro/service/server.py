@@ -64,10 +64,14 @@ __all__ = ["DEFAULT_MAX_BATCH_BYTES", "ServiceDaemon", "serve"]
 _logger = get_logger("service.server")
 
 #: Default cap on one request body; a larger ``Content-Length`` gets a 413
-#: structured error without the body ever being read.
+#: structured error without the body ever being buffered or parsed.
 DEFAULT_MAX_BATCH_BYTES = 8 * 1024 * 1024
 
 _MAX_HEADER_BYTES = 16 * 1024
+
+#: How long a connection whose request was rejected unread keeps draining
+#: the client's input before it is closed.
+_LINGER_SECONDS = 2.0
 
 
 class _HttpError(Exception):
@@ -235,6 +239,26 @@ class ServiceDaemon:
             body = await reader.readexactly(length)
         return method, path, body
 
+    @staticmethod
+    async def _discard_input(reader: asyncio.StreamReader) -> None:
+        """Drop what the client still sends after an unread rejection, then return.
+
+        Closing a socket with unread input makes the kernel reset the
+        connection, and a client still writing its (e.g. oversized) body
+        then fails with ``ECONNRESET`` instead of reading the error
+        response.  Reading to EOF in chunks keeps memory flat; the wait is
+        bounded by :data:`_LINGER_SECONDS`.
+        """
+
+        async def read_to_eof() -> None:
+            while await reader.read(64 * 1024):
+                pass
+
+        try:
+            await asyncio.wait_for(read_to_eof(), _LINGER_SECONDS)
+        except (asyncio.TimeoutError, ConnectionError):
+            pass
+
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         """Serve one connection: one request, one response, close."""
         try:
@@ -244,6 +268,7 @@ class ServiceDaemon:
                 self.requests_failed += 1
                 writer.write(self._respond(error.status, self._error_body(error), error.headers))
                 await writer.drain()
+                await self._discard_input(reader)
                 return
             except (asyncio.IncompleteReadError, ConnectionError):
                 # mid-stream disconnect: nothing parsed, nothing folded

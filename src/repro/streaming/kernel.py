@@ -8,16 +8,18 @@ and one ``np.unique`` per histogram.  All of those products are integer
 reductions over the multiset of valid ``(src, dst)`` pairs, so one sorted
 pass is enough:
 
-1. pack each valid pair into a 64-bit key ``(src << 32) | dst`` and sort;
+1. pack each valid pair into a 64-bit key ``(src << 32) | dst`` and sort
+   (the window dispatch packs the full columns, then drops invalid keys);
 2. run-length encode the sorted keys — run starts are the distinct links,
    run lengths are ``link_packets``;
 3. the high halves of the distinct keys arrive *already grouped by source*
    (the source occupies the top bits), so a second run-length pass yields
    ``source_fanout`` (run lengths) and ``source_packets`` (per-run sums of
    ``link_packets``), plus the distinct-source count;
-4. one argsort of the ``m`` distinct destinations (``m ≤ n``, typically far
-   smaller) groups the links by destination for ``destination_fanin`` /
-   ``destination_packets``;
+4. one sort of the ``m`` distinct links (``m ≤ n``, typically far smaller)
+   re-keyed as ``(dst << 32) | link_index`` groups them by destination —
+   the same order as a stable argsort, at the cost of a plain sort — for
+   ``destination_fanin`` / ``destination_packets``;
 5. every quantity is a bounded positive integer (``≤ N_V``), so the five
    histograms are ``np.bincount`` scatters instead of five sorts.
 
@@ -30,8 +32,8 @@ need the matrix view (Table-I drivers, topology analysis) construct it
 lazily via :func:`repro.streaming.sparse_image.traffic_image` as before.
 
 Packing requires endpoint ids in ``[0, 2**32)``; :func:`window_products`
-falls back to the oracle path for wider ids, so the kernel is a pure
-optimisation, never a behaviour change.
+falls back to the oracle path when a *valid* packet carries a wider id, so
+the kernel is a pure optimisation, never a behaviour change.
 
 The module also defines the *window payload* shipped to worker processes by
 the batched process backend: the raw ``src``/``dst``/``valid`` column
@@ -124,9 +126,15 @@ def packable(src: np.ndarray, dst: np.ndarray) -> bool:
     """Whether every endpoint id fits the packed ``(src << 32) | dst`` key."""
     if src.size == 0:
         return True
-    lo = min(int(src.min()), int(dst.min()))
-    hi = max(int(src.max()), int(dst.max()))
-    return lo >= 0 and hi <= KERNEL_MAX_ID
+    # a negative id sets the sign bit of the OR, an id >= 2**32 a bit at or
+    # above bit 32, so one OR column bounds both endpoints at once
+    ids = np.bitwise_or(src, dst)
+    return int(ids.min()) >= 0 and int(ids.max()) <= KERNEL_MAX_ID
+
+
+def _packed_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Fresh ``(src << 32) | dst`` uint64 keys; ids must be :func:`packable`."""
+    return (src.astype(np.uint64) << np.uint64(32)) | dst.astype(np.uint64)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -152,11 +160,18 @@ def fused_products(src: np.ndarray, dst: np.ndarray) -> WindowProducts:
     ``[0, 2**32)`` (see :func:`packable`); :func:`window_products` handles
     the dispatch.  Returns products byte-identical to :func:`image_products`.
     """
-    n = int(src.size)
+    return _keyed_products(_packed_keys(src, dst))
+
+
+def _keyed_products(key: np.ndarray) -> WindowProducts:
+    """The fused kernel over the packed keys of the valid packets.
+
+    Sorts *key* in place, so callers pass a fresh array they own.
+    """
+    n = int(key.size)
     if n == 0:
         return _empty_products()
 
-    key = (src.astype(np.uint64) << np.uint64(32)) | dst.astype(np.uint64)
     key.sort()
 
     # distinct links and packets per link
@@ -174,10 +189,14 @@ def fused_products(src: np.ndarray, dst: np.ndarray) -> WindowProducts:
     link_cumsum = np.concatenate([[0], np.cumsum(link_packets)])
     source_packets = link_cumsum[src_bounds[1:]] - link_cumsum[src_bounds[:-1]]
 
-    # destinations: regroup the m distinct links (not the n packets) by dst
-    u_dst = (unique_keys & np.uint64(KERNEL_MAX_ID)).astype(np.int64)
-    dst_order = np.argsort(u_dst, kind="stable")
-    dst_starts = _run_starts(u_dst[dst_order])
+    # destinations: regroup the m distinct links (not the n packets) by dst.
+    # Sorting (dst << 32) | link_index is the stable argsort of the dsts:
+    # the high halves come out grouped by dst, the low halves are the order
+    # (link indices are < m <= n, far below 2**32)
+    dst_keys = (unique_keys << np.uint64(32)) | np.arange(m, dtype=np.uint64)
+    dst_keys.sort()
+    dst_order = (dst_keys & np.uint64(KERNEL_MAX_ID)).astype(np.intp)
+    dst_starts = _run_starts(dst_keys >> np.uint64(32))
     dst_bounds = np.append(dst_starts, m)
     destination_fanin = np.diff(dst_bounds)
     link_by_dst_cumsum = np.concatenate([[0], np.cumsum(link_packets[dst_order])])
@@ -216,17 +235,33 @@ def image_products(src: np.ndarray, dst: np.ndarray) -> WindowProducts:
     return compute_aggregates(image), quantity_histograms(image)
 
 
-def window_products(window: PacketTrace) -> WindowProducts:
-    """Analyse one window: fused kernel when the ids pack, oracle otherwise."""
-    src, dst = valid_columns(window)
+def _column_products(
+    src: np.ndarray, dst: np.ndarray, valid: Optional[np.ndarray]
+) -> WindowProducts:
+    """Dispatch one window's columns (``valid=None``: all valid) to a kernel.
+
+    When every id packs, the keys are built from the full (possibly
+    strided) columns and the one contiguous key array is compressed by
+    *valid* — cheaper than fancy-indexing two strided record columns.
+    Only the valid packets must pack, so a window whose *invalid* packets
+    carry wide ids filters first and still takes the fused kernel.
+    """
+    if packable(src, dst):
+        key = _packed_keys(src, dst)
+        return _keyed_products(key if valid is None else key[valid])
+    if valid is not None:
+        src, dst = src[valid], dst[valid]
     if packable(src, dst):
         return fused_products(src, dst)
     return image_products(src, dst)
+
+
+def window_products(window: PacketTrace) -> WindowProducts:
+    """Analyse one window: fused kernel when the ids pack, oracle otherwise."""
+    packets = window.packets
+    return _column_products(packets["src"], packets["dst"], packets["valid"])
 
 
 def payload_products(payload: WindowPayload) -> WindowProducts:
     """Analyse one shipped window payload (worker side of the process backend)."""
-    src, dst = payload_columns(payload)
-    if packable(src, dst):
-        return fused_products(src, dst)
-    return image_products(src, dst)
+    return _column_products(*payload)

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["PACKET_DTYPE", "PacketTrace", "concatenate_traces"]
+__all__ = ["PACKET_DTYPE", "PacketTrace", "concatenate_traces", "join_records"]
 
 #: Structured dtype of one packet record.
 PACKET_DTYPE = np.dtype(
@@ -149,9 +149,25 @@ class PacketTrace:
             yield self.slice(start, start + chunk_size)
 
 
+def join_records(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Concatenate packet record arrays into one new contiguous array.
+
+    ``np.concatenate`` copies a structured dtype field by field, which for
+    the packed 29-byte :data:`PACKET_DTYPE` records is several times
+    slower than moving the same bytes (figures in ``docs/performance.md``,
+    "Window cutting").  Each part is therefore copied as a ``uint8`` view
+    into a preallocated record array; strided parts are made contiguous
+    first.  Always returns a fresh array, never a view of a part.
+    """
+    out = np.empty(sum(int(part.size) for part in parts), dtype=PACKET_DTYPE)
+    if parts:
+        np.concatenate(
+            [np.ascontiguousarray(part, dtype=PACKET_DTYPE).view(np.uint8) for part in parts],
+            out=out.view(np.uint8),
+        )
+    return out
+
+
 def concatenate_traces(traces: Sequence[PacketTrace]) -> PacketTrace:
     """Concatenate traces in order (timestamps are taken as-is)."""
-    traces = list(traces)
-    if not traces:
-        return PacketTrace.empty()
-    return PacketTrace(np.concatenate([t.packets for t in traces]))
+    return PacketTrace(join_records([t.packets for t in traces]))

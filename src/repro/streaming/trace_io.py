@@ -36,7 +36,7 @@ import numpy as np
 
 from repro._util.logging import get_logger
 from repro._util.validation import check_positive_int
-from repro.streaming.packet import PACKET_DTYPE, PacketTrace
+from repro.streaming.packet import PACKET_DTYPE, PacketTrace, concatenate_traces, join_records
 
 __all__ = [
     "save_trace",
@@ -239,10 +239,7 @@ def load_trace(path: Union[str, os.PathLike]) -> PacketTrace:
     """Load a trace written by :func:`save_trace` or :func:`save_trace_sharded`."""
     path = Path(path)
     if trace_format(path) == _SHARDED_VERSION:
-        chunks = list(iter_trace_chunks(path))
-        if not chunks:
-            return PacketTrace.empty()
-        return PacketTrace(np.concatenate([c.packets for c in chunks]))
+        return concatenate_traces(list(iter_trace_chunks(path)))
     return PacketTrace(_load_v1_records(path))
 
 
@@ -336,8 +333,8 @@ def rechunk(chunks: Iterable[PacketTrace], chunk_packets: int) -> Iterator[Packe
             n_pending += take
             arr = arr[take:]
             if n_pending == chunk_packets:
-                yield PacketTrace(pending[0] if len(pending) == 1 else np.concatenate(pending))
+                yield PacketTrace(pending[0] if len(pending) == 1 else join_records(pending))
                 pending = []
                 n_pending = 0
     if n_pending:
-        yield PacketTrace(pending[0] if len(pending) == 1 else np.concatenate(pending))
+        yield PacketTrace(pending[0] if len(pending) == 1 else join_records(pending))

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Tuple, TypeVar
 import numpy as np
 
 from repro._util.validation import check_positive_int
-from repro.streaming.packet import PACKET_DTYPE, PacketTrace
+from repro.streaming.packet import PacketTrace, join_records
 
 __all__ = [
     "iter_windows",
@@ -56,6 +56,17 @@ def iter_batches(items: Iterable[_T], batch_size: int) -> Iterator[Tuple[_T, ...
         yield tuple(batch)
 
 
+def _window_ends(valid: np.ndarray, n_valid: int, carried: int = 0) -> np.ndarray:
+    """One-past-the-end packet indices of the windows that close in *valid*.
+
+    *carried* valid packets (``< n_valid``) are already pending before
+    index 0, so the first window closes at the ``n_valid - carried``-th
+    valid packet and every later one ``n_valid`` valid packets on.
+    """
+    positions = np.flatnonzero(valid)
+    return positions[n_valid - carried - 1 :: n_valid] + 1
+
+
 def window_boundaries(trace: PacketTrace, n_valid: int) -> np.ndarray:
     """Packet-index boundaries of consecutive ``N_V``-valid-packet windows.
 
@@ -63,16 +74,7 @@ def window_boundaries(trace: PacketTrace, n_valid: int) -> np.ndarray:
     packet indices ``[b[k], b[k+1])``.  Only complete windows are included.
     """
     n_valid = check_positive_int(n_valid, "n_valid")
-    if len(trace) == 0:
-        return np.zeros(1, dtype=np.int64)
-    cumulative_valid = np.cumsum(trace.packets["valid"].astype(np.int64))
-    total_valid = int(cumulative_valid[-1])
-    n_windows = total_valid // n_valid
-    if n_windows == 0:
-        return np.zeros(1, dtype=np.int64)
-    # boundary k is one past the packet index where the k*n_valid-th valid packet sits
-    targets = np.arange(1, n_windows + 1, dtype=np.int64) * n_valid
-    ends = np.searchsorted(cumulative_valid, targets, side="left") + 1
+    ends = _window_ends(trace.packets["valid"], n_valid)
     return np.concatenate([[0], ends]).astype(np.int64)
 
 
@@ -97,12 +99,18 @@ class PushWindower:
     """Incremental push-driven windower: feed chunks, receive cut windows.
 
     The *push* counterpart of :class:`ChunkedWindower` — and its actual
-    implementation: both cut with :func:`window_boundaries` over a buffer
-    that always starts at a window boundary, so for **any** re-batching of
-    the same packet stream the emitted windows are packet-identical to
+    implementation.  Each pushed chunk is cut where its valid packets
+    complete a window, counting the valid packets still pending from
+    earlier pushes, so for **any** re-batching of the same packet stream
+    the emitted windows are packet-identical to
     ``iter_windows(full_trace, n_valid)``.  That invariance is what lets a
     resident daemon fed arbitrary network batches reproduce a one-shot
     analysis bit for bit (``tests/test_service_properties.py``).
+
+    Windows are copied only where they must be: a window lying entirely
+    inside the pushed chunk is a zero-copy view of it, and only the one
+    window that straddles the pending packets and the chunk is joined
+    (:func:`~repro.streaming.packet.join_records`, a byte-level copy).
 
     Attributes
     ----------
@@ -110,7 +118,8 @@ class PushWindower:
         Packets (total / valid) currently held for the next incomplete
         window — at most one window's worth plus the tail of the last chunk.
     max_buffered_packets:
-        High-water mark of the internal packet buffer.
+        High-water mark of the internal packet buffer: the pending packets
+        plus the chunk being cut.
     n_chunks:
         Number of chunks pushed so far.
     """
@@ -119,9 +128,9 @@ class PushWindower:
         self.n_valid = check_positive_int(n_valid, "n_valid")
         self.max_buffered_packets = 0
         self.n_chunks = 0
-        # accumulate chunk arrays and only concatenate once a window's worth
-        # of valid packets is buffered — work per window stays O(window span)
-        # even when chunks are tiny relative to the window
+        # pending chunk tails (views, in push order), joined only when a
+        # window closes — work per window stays O(window span) even when
+        # chunks are tiny relative to the window
         self._parts: list[np.ndarray] = []
         self._n_buffered = 0
         self._valid_buffered = 0
@@ -142,48 +151,45 @@ class PushWindower:
         Returns ``[]`` while the buffer is still short of ``n_valid`` valid
         packets.  A trailing partial window is never emitted — it stays
         buffered until later pushes complete it (matching the drop-partial
-        semantics of :func:`iter_windows` at end of stream).
+        semantics of :func:`iter_windows` at end of stream).  The returned
+        windows may be views of *chunk*, and the pending tail of *chunk* is
+        kept by reference, so a caller must not overwrite a pushed buffer.
         """
         if not isinstance(chunk, PacketTrace):
             raise TypeError(f"chunks must be PacketTrace instances, got {type(chunk).__name__}")
         self.n_chunks += 1
-        if chunk.n_packets == 0:
+        packets = chunk.packets
+        if packets.size == 0:
             return []
-        self._parts.append(chunk.packets)
-        self._n_buffered += chunk.n_packets
-        self._valid_buffered += chunk.n_valid
-        self.max_buffered_packets = max(self.max_buffered_packets, self._n_buffered)
-        if self._valid_buffered < self.n_valid:
+        self.max_buffered_packets = max(self.max_buffered_packets, self._n_buffered + packets.size)
+        valid = packets["valid"]
+        ends = _window_ends(valid, self.n_valid, self._valid_buffered)
+        if ends.size == 0:
+            self._parts.append(packets)
+            self._n_buffered += int(packets.size)
+            self._valid_buffered += int(np.count_nonzero(valid))
             return []
-        buffered = PacketTrace(
-            self._parts[0] if len(self._parts) == 1 else np.concatenate(self._parts)
-        )
-        boundaries = window_boundaries(buffered, self.n_valid)
-        windows = [
-            buffered.slice(int(boundaries[k]), int(boundaries[k + 1]))
-            for k in range(boundaries.size - 1)
-        ]
-        leftover = buffered.packets[int(boundaries[-1]):]
+        bounds = ends.tolist()
+        head = packets[: bounds[0]]
+        # only the first window can straddle the pending parts; the rest are views
+        windows = [PacketTrace(join_records([*self._parts, head]) if self._parts else head)]
+        windows.extend(PacketTrace(packets[start:stop]) for start, stop in zip(bounds, bounds[1:]))
+        leftover = packets[bounds[-1] :]
         self._parts = [leftover] if leftover.size else []
         self._n_buffered = int(leftover.size)
-        self._valid_buffered -= (boundaries.size - 1) * self.n_valid
+        self._valid_buffered = int(np.count_nonzero(leftover["valid"]))
         return windows
 
     def snapshot(self) -> dict:
         """Exact buffered state for service checkpoints.
 
-        The pending parts are concatenated into one structured packet array;
-        concatenation order is push order, so a restored windower cuts the
-        same windows at the same boundaries as the original would have.
+        The pending parts are joined into one structured packet array;
+        join order is push order, so a restored windower cuts the same
+        windows at the same boundaries as the original would have.
         """
-        if self._parts:
-            packets = self._parts[0] if len(self._parts) == 1 else np.concatenate(self._parts)
-            packets = packets.copy()
-        else:
-            packets = np.empty(0, dtype=PACKET_DTYPE)
         return {
             "n_valid": int(self.n_valid),
-            "packets": packets,
+            "packets": join_records(self._parts),
             "n_chunks": int(self.n_chunks),
             "max_buffered_packets": int(self.max_buffered_packets),
         }
@@ -196,6 +202,11 @@ class PushWindower:
                 f"cannot restore into n_valid={self.n_valid}"
             )
         trace = PacketTrace(np.asarray(state["packets"]))  # validates dtype
+        if trace.n_valid >= self.n_valid:
+            raise ValueError(
+                f"windower snapshot buffers {trace.n_valid} valid packets; a pending "
+                f"window holds fewer than n_valid={self.n_valid}"
+            )
         packets = trace.packets.copy()
         self._parts = [packets] if packets.size else []
         self._n_buffered = int(packets.size)

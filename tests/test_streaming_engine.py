@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.moments import StreamingMoments
 from repro.streaming.aggregates import QUANTITY_NAMES
@@ -44,7 +46,13 @@ from repro.streaming.trace_io import (
     save_trace_sharded,
     trace_format,
 )
-from repro.streaming.window import ChunkedWindower, iter_batches, iter_windows, iter_windows_chunked
+from repro.streaming.window import (
+    ChunkedWindower,
+    PushWindower,
+    iter_batches,
+    iter_windows,
+    iter_windows_chunked,
+)
 
 
 class TestStreamingMoments:
@@ -119,6 +127,97 @@ class TestChunkedWindower:
     def test_rejects_non_trace_chunks(self):
         with pytest.raises(TypeError):
             list(iter_windows_chunked([np.arange(3)], 2))
+
+
+def _reference_window_ends(valid: np.ndarray, n_valid: int) -> np.ndarray:
+    """Naive window ends: the packet index one past every n_valid-th valid packet."""
+    cumulative = np.cumsum(valid.astype(np.int64))
+    n_windows = int(cumulative[-1]) // n_valid if cumulative.size else 0
+    targets = np.arange(1, n_windows + 1) * n_valid
+    return np.searchsorted(cumulative, targets, side="left") + 1
+
+
+@st.composite
+def _rebatched_streams(draw):
+    """A trace with invalid packets, a window size, and a re-batching of it.
+
+    The cut sizes mix empty chunks, single packets, and chunks spanning
+    several windows; sparse validity yields chunks with no valid packet.
+    """
+    n_valid = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=0, max_value=240))
+    valid = draw(st.lists(st.sampled_from([True, True, False]), min_size=n, max_size=n))
+    trace = PacketTrace.from_arrays(
+        np.arange(n) % 7, np.arange(n) % 5 + 100, valid=np.asarray(valid, dtype=bool)
+    )
+    sizes = draw(
+        st.lists(
+            st.one_of(st.just(0), st.just(1), st.integers(2, 9), st.integers(30, 200)),
+            max_size=40,
+        )
+    )
+    chunks, start = [], 0
+    for size in sizes:
+        chunks.append(trace.slice(start, start + size))
+        start = min(start + size, n)
+    chunks.append(trace.slice(start, n))
+    return trace, n_valid, chunks
+
+
+class TestPushWindowerProperties:
+    @given(stream=_rebatched_streams(), data=st.data())
+    @settings(max_examples=150)
+    def test_any_rebatching_matches_naive_reference(self, stream, data):
+        trace, n_valid, chunks = stream
+        valid = trace.packets["valid"]
+        ends = _reference_window_ends(valid, n_valid)
+        starts = np.concatenate([[0], ends[:-1]])
+        restore_at = data.draw(st.integers(0, len(chunks)), label="restore_at")
+
+        windower = PushWindower(n_valid)
+        pushed, emitted, high = 0, 0, 0
+        for index, chunk in enumerate(chunks):
+            if index == restore_at:
+                restored = PushWindower(n_valid)
+                restored.restore(pickle.loads(pickle.dumps(windower.snapshot())))
+                windower = restored
+            consumed = int(ends[emitted - 1]) if emitted else 0
+            if chunk.n_packets:
+                high = max(high, pushed - consumed + chunk.n_packets)
+            windows = windower.push(chunk)
+            pushed += chunk.n_packets
+            for window in windows:
+                expected = trace.packets[starts[emitted]:ends[emitted]]
+                assert window.packets.tobytes() == expected.tobytes()
+                emitted += 1
+            closed = int(np.searchsorted(ends, pushed, side="right"))
+            assert emitted == closed
+            consumed = int(ends[emitted - 1]) if emitted else 0
+            assert windower.buffered_packets == pushed - consumed
+            assert windower.buffered_valid == int(valid[consumed:pushed].sum())
+            assert windower.max_buffered_packets == high
+            assert windower.n_chunks == index + 1
+        assert emitted == ends.size
+
+    def test_window_inside_one_chunk_is_a_view(self):
+        trace = PacketTrace.from_arrays(np.arange(100), np.arange(100) + 1000)
+        first, second = trace.slice(0, 15), trace.slice(15, 100)
+        windower = PushWindower(10)
+        (head,) = windower.push(first)
+        assert np.shares_memory(head.packets, first.packets)
+        straddling, *inside = windower.push(second)
+        # only the window spanning the two chunks is copied
+        assert straddling.packets.tobytes() == trace.packets[10:20].tobytes()
+        assert not np.shares_memory(straddling.packets, second.packets)
+        assert len(inside) == 8
+        assert all(np.shares_memory(w.packets, second.packets) for w in inside)
+
+    def test_restore_refuses_a_full_window_of_pending_packets(self):
+        windower = PushWindower(4)
+        windower.push(PacketTrace.from_arrays([1, 2, 3], [4, 5, 6]))
+        state = windower.snapshot()
+        with pytest.raises(ValueError, match="fewer than n_valid"):
+            PushWindower(3).restore({**state, "n_valid": 3})
 
 
 class TestShardedTraceIO:

@@ -13,6 +13,8 @@ beyond it, which must take the oracle fallback and still agree).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.streaming.kernel import (
     image_products,
     packable,
     payload_columns,
+    payload_products,
     window_payload,
 )
 from repro.streaming.packet import PacketTrace
@@ -144,6 +147,31 @@ class TestKernelEquivalence:
         dst = window.packets["dst"]
         assert not packable(src, dst)
         assert_products_equal(analyze_window(window), analyze_window_image(window))
+
+
+class TestKernelDispatch:
+    """Only the *valid* packets must pack for a window to take the fused path."""
+
+    @staticmethod
+    def _wide_invalid_window(bad_id: int) -> PacketTrace:
+        return PacketTrace.from_arrays(
+            [3, bad_id, 3, 8, 4, 5],
+            [bad_id, 9, 9, 9, KERNEL_MAX_ID, 9],
+            valid=[False, False, True, True, True, True],
+        )
+
+    @pytest.mark.parametrize("bad_id", [-1, -(2**40), 2**32, 2**40])
+    def test_wide_ids_on_invalid_packets_keep_the_fused_path(self, bad_id, monkeypatch):
+        window = self._wide_invalid_window(bad_id)
+        oracle = analyze_window_image(window)
+
+        def no_fallback(src, dst):
+            raise AssertionError("valid ids pack; the oracle fallback must not run")
+
+        monkeypatch.setattr("repro.streaming.kernel.image_products", no_fallback)
+        assert_products_equal(analyze_window(window), oracle)
+        aggregates, histograms = payload_products(window_payload(window))
+        assert_products_equal(SimpleNamespace(aggregates=aggregates, histograms=histograms), oracle)
 
 
 # -- payload shape ------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.streaming.packet import PACKET_DTYPE, PacketTrace, concatenate_traces
+from repro.streaming.packet import PACKET_DTYPE, PacketTrace, concatenate_traces, join_records
 from repro.streaming.trace_io import load_trace, save_trace
 from repro.streaming.window import count_windows, iter_windows, window_boundaries
 
@@ -86,6 +86,15 @@ class TestPacketTrace:
 
     def test_concatenate_empty_list(self):
         assert concatenate_traces([]).n_packets == 0
+
+    def test_join_records_matches_concatenate_on_strided_and_empty_parts(self):
+        packets = _trace_with_invalid(30, 4).packets
+        parts = [packets[::3], packets[:0], packets[5:17], packets[::-2]]
+        joined = join_records(parts)
+        assert joined.dtype == PACKET_DTYPE and joined.flags["C_CONTIGUOUS"]
+        assert joined.tobytes() == np.concatenate(parts).tobytes()
+        assert not np.shares_memory(join_records([packets]), packets)
+        assert join_records([]).dtype == PACKET_DTYPE
 
 
 class TestWindowing:
