@@ -73,6 +73,11 @@ STORE_FORMAT_VERSION = 1
 #: fire every ``ttl / 3``, so a healthy worker survives two missed beats.
 DEFAULT_LEASE_TTL_SECONDS = 30.0
 
+#: gzip level of stored payloads.  Level 6 compresses a campaign cell about
+#: five times faster than level 9 for about 2% more bytes; any level reads
+#: back the same, so stores written at level 9 stay readable.
+_PAYLOAD_COMPRESSLEVEL = 6
+
 _logger = get_logger("campaigns.store")
 
 
@@ -309,7 +314,9 @@ class ResultStore:
     def _dump_payload(payload) -> bytes:
         """Pickle + gzip (``mtime=0``) a payload into reproducible bytes."""
         buffer = io.BytesIO()
-        with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as handle:
+        with gzip.GzipFile(
+            fileobj=buffer, mode="wb", compresslevel=_PAYLOAD_COMPRESSLEVEL, mtime=0
+        ) as handle:
             pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
         return buffer.getvalue()
 

@@ -34,7 +34,6 @@ can observe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
@@ -42,8 +41,13 @@ import numpy as np
 from repro._util.validation import check_positive_int
 from repro.scenarios.families import build_family_edges
 from repro.scenarios.scenario import Scenario
-from repro.streaming.packet import PACKET_DTYPE, PacketTrace
-from repro.streaming.trace_generator import TraceConfig, edge_rate_weights
+from repro.streaming.packet import PacketTrace
+from repro.streaming.trace_generator import (
+    TraceConfig,
+    TrafficSubstrate,
+    edge_rate_weights,
+    emit_packets,
+)
 from repro.streaming.trace_io import rechunk
 
 __all__ = ["DEFAULT_BLOCK_PACKETS", "ScenarioTraceSource"]
@@ -53,68 +57,6 @@ __all__ = ["DEFAULT_BLOCK_PACKETS", "ScenarioTraceSource"]
 DEFAULT_BLOCK_PACKETS = 65_536
 
 SeedLike = Union[None, int, np.random.SeedSequence]
-
-
-@dataclass(frozen=True)
-class _PhaseState:
-    """One phase's realised substrate: edge endpoints and rate weights."""
-
-    index: int
-    edges: np.ndarray
-    weights: np.ndarray
-    config: TraceConfig
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.edges.max()) + 1
-
-
-def _emit_block(
-    n: int,
-    state: _PhaseState,
-    gen: np.random.Generator,
-    time_offset: float,
-    fade_from: _PhaseState | None,
-    p_old: np.ndarray | None,
-) -> np.ndarray:
-    """Draw one block of *n* packet records.
-
-    The draw order is fixed (edge choice, optional fade mix, direction flip,
-    invalid injection, inter-arrivals, sizes) — part of the determinism
-    contract, so reordering it is a format break for golden tests.
-    """
-    chosen = gen.choice(state.edges.shape[0], size=n, replace=True, p=state.weights)
-    src = state.edges[chosen, 0].copy()
-    dst = state.edges[chosen, 1].copy()
-    if fade_from is not None and p_old is not None:
-        # cross-fade: each packet falls back to the previous phase's substrate
-        # with probability p_old (ramping down across the fade region)
-        use_old = gen.random(n) < p_old
-        n_old = int(use_old.sum())
-        if n_old:
-            chosen_old = gen.choice(
-                fade_from.edges.shape[0], size=n_old, replace=True, p=fade_from.weights
-            )
-            src[use_old] = fade_from.edges[chosen_old, 0]
-            dst[use_old] = fade_from.edges[chosen_old, 1]
-    config = state.config
-    if config.directed:
-        flip = gen.random(n) < 0.5
-        src[flip], dst[flip] = dst[flip], src[flip].copy()
-    valid = np.ones(n, dtype=bool)
-    if config.invalid_fraction > 0:
-        invalid = gen.random(n) < config.invalid_fraction
-        valid[invalid] = False
-        n_nodes = state.n_nodes if fade_from is None else max(state.n_nodes, fade_from.n_nodes)
-        src[invalid] = gen.integers(0, n_nodes, size=int(invalid.sum()))
-        dst[invalid] = gen.integers(0, n_nodes, size=int(invalid.sum()))
-    records = np.empty(n, dtype=PACKET_DTYPE)
-    records["src"] = src
-    records["dst"] = dst
-    records["time"] = time_offset + np.cumsum(gen.exponential(config.mean_interarrival, size=n))
-    records["size"] = gen.integers(64, 1500, size=n, dtype=np.int32)
-    records["valid"] = valid
-    return records
 
 
 class ScenarioTraceSource:
@@ -188,25 +130,25 @@ class ScenarioTraceSource:
             return blocks
         return rechunk(blocks, self.chunk_packets)
 
-    def _phase_state(self, index: int, phase_ss: np.random.SeedSequence) -> tuple:
-        """Realise phase *index*: graph edges, rate weights, and block seeds."""
+    def _phase_substrate(self, index: int, phase_ss: np.random.SeedSequence) -> tuple:
+        """Realise phase *index*: its traffic substrate and block seeds."""
         phase = self.scenario.phases[index]
         config = self.scenario.phase_configs[index]
         n_blocks = -(-phase.n_packets // self.block_packets)
         graph_ss, weights_ss, *block_seeds = phase_ss.spawn(2 + n_blocks)
         edges = build_family_edges(phase.graph, phase.graph_params, np.random.default_rng(graph_ss))
         weights = edge_rate_weights(edges.shape[0], config, np.random.default_rng(weights_ss))
-        state = _PhaseState(index=index, edges=edges, weights=weights, config=config)
-        return state, block_seeds
+        return TrafficSubstrate.build(edges, weights), block_seeds
 
     def _iter_blocks(self) -> Iterator[PacketTrace]:
         scenario = self.scenario
         phase_sequences = self._seed_sequence.spawn(scenario.n_phases)
         fade = scenario.crossfade_packets
         time_offset = 0.0
-        previous: _PhaseState | None = None
+        previous: TrafficSubstrate | None = None
         for index in range(scenario.n_phases):
-            state, block_seeds = self._phase_state(index, phase_sequences[index])
+            substrate, block_seeds = self._phase_substrate(index, phase_sequences[index])
+            config = scenario.phase_configs[index]
             budget = scenario.phases[index].n_packets
             emitted = 0
             for block_ss in block_seeds:
@@ -220,11 +162,17 @@ class ScenarioTraceSource:
                     j = emitted + np.arange(n, dtype=np.float64)
                     p_old = np.clip(1.0 - (j + 1.0) / (fade + 1.0), 0.0, None)
                     fade_from = previous
-                records = _emit_block(
-                    n, state, np.random.default_rng(block_ss), time_offset, fade_from, p_old
+                records = emit_packets(
+                    n,
+                    substrate,
+                    config,
+                    np.random.default_rng(block_ss),
+                    time_offset=time_offset,
+                    fade_from=fade_from,
+                    p_old=p_old,
                 )
                 time_offset = float(records["time"][-1])
                 emitted += n
                 self._valid_per_phase[index] += int(np.count_nonzero(records["valid"]))
                 yield PacketTrace(records)
-            previous = state if fade else None
+            previous = substrate if fade else None

@@ -35,6 +35,7 @@ __all__ = [
     "BatchError",
     "JobEngine",
     "MAX_ENDPOINT_ID",
+    "MAX_PACKET_SIZE",
     "SNAPSHOT_FORMAT",
     "packet_batch_from_json",
 ]
@@ -49,6 +50,10 @@ SNAPSHOT_FORMAT = 1
 #: service rejects anything outside ``[0, 2**32)`` up front instead of
 #: silently taking the slow fallback path on attacker-controlled input.
 MAX_ENDPOINT_ID = 2**32 - 1
+
+#: Largest packet size a service batch may carry: the record's ``size``
+#: field is int32.
+MAX_PACKET_SIZE = 2**31 - 1
 
 
 class BatchError(ValueError):
@@ -74,24 +79,56 @@ def _batch_column(batch: Mapping, name: str, n: int | None) -> np.ndarray:
         # malformed input, not something to round
         raise BatchError(f"batch column {name!r} must be integers, got dtype {column.dtype}")
     if column.size:
-        low, high = int(column.min()), int(column.max())
-        if low < 0 or high > MAX_ENDPOINT_ID:
-            raise BatchError(
-                f"batch column {name!r} has out-of-range ids (min {low}, max {high}); "
-                f"ids must be in [0, {MAX_ENDPOINT_ID}]"
-            )
+        _check_integers(batch[name], column, name, "ids", MAX_ENDPOINT_ID)
     return column.astype(np.int64, copy=False)
+
+
+def _check_integers(raw, column: np.ndarray, name: str, what: str, high_bound: int) -> None:
+    """Raise unless integral *column* lies in ``[0, high_bound]`` and held no booleans.
+
+    ``np.asarray`` reads ``[true, 2]`` as the integers ``[1, 2]``, so only
+    entries equal to 0 or 1 can have been booleans; just those entries of
+    the decoded list are looked at.
+    """
+    low, high = column.min(), column.max()
+    if low < 0 or high > high_bound:
+        raise BatchError(
+            f"batch column {name!r} has out-of-range {what} (min {low}, max {high}); "
+            f"{what} must be in [0, {high_bound}]"
+        )
+    if low <= 1 and not isinstance(raw, np.ndarray):
+        suspects = np.flatnonzero(column <= 1).tolist()
+        if any(isinstance(raw[i], (bool, np.bool_)) for i in suspects):
+            raise BatchError(f"batch column {name!r} must be integers, got booleans")
+
+
+def _check_optional(raw, column: np.ndarray, name: str) -> None:
+    """Value checks of the optional ``time`` and ``size`` columns.
+
+    Times must be finite.  Sizes must be integral (JSON ``100.0`` is
+    accepted), not booleans, and fit the int32 record field, so nothing
+    wraps or casts with a warning when the trace is built.
+    """
+    if name == "time":
+        # min and max propagate NaN and expose either infinity
+        if not (np.isfinite(column.min()) and np.isfinite(column.max())):
+            raise BatchError("batch column 'time' must be finite numbers (no NaN or Infinity)")
+        return
+    if np.issubdtype(column.dtype, np.floating) and not (column == np.trunc(column)).all():
+        raise BatchError("batch column 'size' must be integral byte counts")
+    _check_integers(raw, column, name, "sizes", MAX_PACKET_SIZE)
 
 
 def packet_batch_from_json(batch: Mapping) -> PacketTrace:
     """Validate one decoded JSON batch and build its :class:`PacketTrace`.
 
     A batch is an object with integer id columns ``src`` and ``dst`` (equal
-    length, ids in ``[0, 2**32)``) and optional ``time`` (numbers),
-    ``size`` (integers), and ``valid`` (booleans) columns of the same
-    length.  Every failure mode raises :class:`BatchError` with a message
-    naming the offending column — and, critically, raises **before** any
-    analyzer state could change.
+    length, ids in ``[0, 2**32)``) and optional ``time`` (finite numbers),
+    ``size`` (integers in ``[0, 2**31)``), and ``valid`` (booleans) columns
+    of the same length.  JSON booleans are not integers here.  Every failure
+    mode raises :class:`BatchError` with a message naming the offending
+    column — and, critically, raises **before** any analyzer state could
+    change.
     """
     if not isinstance(batch, Mapping):
         raise BatchError(f"batch must be a JSON object, got {type(batch).__name__}")
@@ -118,6 +155,8 @@ def packet_batch_from_json(batch: Mapping) -> PacketTrace:
                 raise BatchError(f"batch column 'valid' must be booleans, got dtype {column.dtype}")
         elif not np.issubdtype(column.dtype, np.number):
             raise BatchError(f"batch column {name!r} must be numbers, got dtype {column.dtype}")
+        else:
+            _check_optional(batch[name], column, name)
         optional[name] = column
     try:
         return PacketTrace.from_arrays(src, dst, **optional)

@@ -30,10 +30,13 @@ import numpy as np
 from repro._util.rng import RNGLike, as_generator
 from repro._util.validation import check_fraction, check_positive, check_positive_int
 from repro.generators.palu_graph import PALUGraph
-from repro.streaming.packet import PacketTrace
+from repro.streaming.packet import PACKET_DTYPE, PacketTrace
 
 __all__ = [
+    "EdgeSampler",
+    "TrafficSubstrate",
     "TraceConfig",
+    "emit_packets",
     "generate_trace",
     "generate_trace_from_graph",
     "edge_rate_weights",
@@ -124,6 +127,152 @@ def edge_rate_weights(n_edges: int, config: TraceConfig, gen: np.random.Generato
     return weights / total
 
 
+#: Walk steps a draw takes through the cutpoint table before the rest of
+#: the block falls back to a binary search (see :meth:`EdgeSampler.draw`).
+_WALK_STEPS = 2
+
+
+class EdgeSampler:
+    """Exact, set-up-once replica of ``gen.choice(m, n, replace=True, p=weights)``.
+
+    ``Generator.choice`` re-validates *p*, rebuilds its CDF and binary-searches
+    every key on each call.  The sampler does the first two once and replaces
+    the search by Chen & Asau's cutpoint ("guide") table: with ``K`` a power
+    of two ≥ ``4m`` buckets, ``guide[j]`` is the first index whose CDF value
+    exceeds ``j / K``.  A draw ``u = gen.random(n)`` starts at
+    ``guide[floor(u * K)]`` and steps forward while ``cdf[idx] <= u``.
+
+    The result is exactly ``cdf.searchsorted(u, "right")``, which is what
+    ``choice`` computes: ``u * K`` and ``cdf * K`` are exact because ``K``
+    is a power of two, so the guide never starts past the answer, and the
+    walk stops because ``cdf[-1] == 1.0 > u``.  Draws that are still short after
+    a couple of steps finish with the same ``searchsorted`` on their own
+    keys.  The draws, and the generator state afterwards, are therefore
+    bit-identical to ``choice``'s.
+    """
+
+    def __init__(self, weights: np.ndarray) -> None:
+        p = np.asarray(weights)
+        # the checks (and messages) Generator.choice applies to p; choice
+        # sums with Kahan summation, np.sum pairwise, which can only differ
+        # for weights within rounding of the sqrt(eps) tolerance
+        atol = np.sqrt(np.finfo(np.float64).eps)
+        if np.issubdtype(p.dtype, np.floating):
+            atol = max(atol, np.sqrt(np.finfo(p.dtype).eps))
+        p = np.ascontiguousarray(p, dtype=np.float64)
+        if p.ndim != 1:
+            raise ValueError("p must be 1-dimensional")
+        if p.size == 0:
+            raise ValueError("a must be a positive integer unless no samples are taken")
+        p_sum = p.sum()
+        if np.isnan(p_sum):
+            raise ValueError("Probabilities contain NaN")
+        if np.logical_or.reduce(p < 0):
+            raise ValueError("Probabilities are not non-negative")
+        if abs(p_sum - 1.0) > atol:
+            raise ValueError("Probabilities do not sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
+        self._buckets = buckets = 1 << (4 * p.size - 1).bit_length()
+        # guide[j] = cdf.searchsorted(j / K, "right"), the first i with
+        # ceil(cdf[i] * K) > j: index i fills buckets ceil(cdf[i-1] * K)
+        # up to ceil(cdf[i] * K), and the last ceiling is K
+        ceilings = np.ceil(cdf * buckets).astype(np.intp)
+        self._guide = np.repeat(np.arange(p.size), np.diff(ceilings, prepend=0))
+
+    @property
+    def n_edges(self) -> int:
+        """Population size ``m`` the sampler draws indices from."""
+        return int(self._cdf.size)
+
+    def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """*n* indices in ``[0, m)``, as ``gen.choice(m, n, p=weights)`` returns them."""
+        u = gen.random(n)
+        idx = self._guide[(u * self._buckets).astype(np.intp)]
+        cdf = self._cdf
+        late = np.flatnonzero(cdf[idx] <= u)
+        for _ in range(_WALK_STEPS):
+            if not late.size:
+                break
+            idx[late] += 1
+            late = late[cdf[idx[late]] <= u[late]]
+        if late.size:
+            idx[late] = cdf.searchsorted(u[late], "right")
+        return idx
+
+
+@dataclass(frozen=True)
+class TrafficSubstrate:
+    """An edge set with its rate sampler: what :func:`emit_packets` draws from.
+
+    Built once per (graph, weights) pair, so per-block emission does no
+    set-up work: ``endpoints`` is the edge array flattened to
+    ``[u0, v0, u1, v1, ...]`` and ``n_nodes`` bounds the node ids.
+    """
+
+    endpoints: np.ndarray
+    sampler: EdgeSampler
+    n_nodes: int
+
+    @classmethod
+    def build(cls, edges: np.ndarray, weights: np.ndarray) -> "TrafficSubstrate":
+        """Substrate over an ``(m, 2)`` edge array with rate *weights*."""
+        endpoints = np.ascontiguousarray(edges, dtype=np.int64).ravel()
+        return cls(endpoints, EdgeSampler(weights), int(endpoints.max()) + 1)
+
+
+def emit_packets(
+    n: int,
+    substrate: TrafficSubstrate,
+    config: TraceConfig,
+    gen: np.random.Generator,
+    *,
+    time_offset: float = 0.0,
+    fade_from: TrafficSubstrate | None = None,
+    p_old: np.ndarray | None = None,
+) -> np.ndarray:
+    """Draw *n* packet records over *substrate*: the one packet emitter.
+
+    The draw order is fixed (edge choice, optional fade mix, direction flip,
+    invalid injection, inter-arrivals, sizes) — part of the determinism
+    contract, so reordering it is a format break for golden tests.  With
+    *fade_from*, each packet falls back to that substrate with probability
+    *p_old* (a per-packet array).  Timestamps start after *time_offset*.
+    """
+    chosen = substrate.sampler.draw(gen, n)
+    endpoints = substrate.endpoints
+    n_nodes = substrate.n_nodes
+    if fade_from is not None:
+        use_old = gen.random(n) < p_old
+        n_old = int(use_old.sum())
+        if n_old:
+            # index the old edges past the new ones in one joined table
+            chosen[use_old] = substrate.sampler.n_edges + fade_from.sampler.draw(gen, n_old)
+            endpoints = np.concatenate([endpoints, fade_from.endpoints])
+        n_nodes = max(n_nodes, fade_from.n_nodes)
+    # endpoint slot of each packet's source: 2e, or 2e + 1 when flipped
+    slot = 2 * chosen
+    if config.directed:
+        slot += gen.random(n) < 0.5
+    src = endpoints[slot]
+    dst = endpoints[slot ^ 1]
+    valid = True
+    if config.invalid_fraction > 0:
+        invalid = gen.random(n) < config.invalid_fraction
+        valid = ~invalid
+        # invalid packets get arbitrary endpoints outside the traffic pattern
+        src[invalid] = gen.integers(0, n_nodes, size=int(invalid.sum()))
+        dst[invalid] = gen.integers(0, n_nodes, size=int(invalid.sum()))
+    records = np.empty(n, dtype=PACKET_DTYPE)
+    records["src"] = src
+    records["dst"] = dst
+    records["time"] = time_offset + np.cumsum(gen.exponential(config.mean_interarrival, size=n))
+    records["size"] = gen.integers(64, 1500, size=n, dtype=np.int32)
+    records["valid"] = valid
+    return records
+
+
 def generate_trace_from_graph(
     graph: GraphLike,
     config: TraceConfig,
@@ -139,28 +288,8 @@ def generate_trace_from_graph(
     if edges.shape[0] == 0:
         raise ValueError("cannot generate traffic over a graph with no edges")
     gen = as_generator(rng)
-    n = config.n_packets
-
-    weights = edge_rate_weights(edges.shape[0], config, gen)
-    chosen = gen.choice(edges.shape[0], size=n, replace=True, p=weights)
-    src = edges[chosen, 0].copy()
-    dst = edges[chosen, 1].copy()
-    if config.directed:
-        flip = gen.random(n) < 0.5
-        src[flip], dst[flip] = dst[flip], src[flip].copy()
-
-    valid = np.ones(n, dtype=bool)
-    if config.invalid_fraction > 0:
-        invalid = gen.random(n) < config.invalid_fraction
-        valid[invalid] = False
-        # invalid packets get arbitrary endpoints outside the traffic pattern
-        n_nodes = int(edges.max()) + 1
-        src[invalid] = gen.integers(0, n_nodes, size=int(invalid.sum()))
-        dst[invalid] = gen.integers(0, n_nodes, size=int(invalid.sum()))
-
-    times = np.cumsum(gen.exponential(config.mean_interarrival, size=n))
-    sizes = gen.integers(64, 1500, size=n, dtype=np.int32)
-    return PacketTrace.from_arrays(src, dst, time=times, size=sizes, valid=valid)
+    substrate = TrafficSubstrate.build(edges, edge_rate_weights(edges.shape[0], config, gen))
+    return PacketTrace(emit_packets(config.n_packets, substrate, config, gen))
 
 
 def generate_trace(

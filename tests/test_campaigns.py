@@ -228,6 +228,33 @@ class TestResultStore:
         assert payload == {"fresh": True} and not cached
         assert store.get(key) == {"fresh": True}
 
+    def test_level9_payload_still_reads(self, tmp_path):
+        """Cells written before payloads moved to gzip level 6 stay readable."""
+        import hashlib
+        import io
+        import pickle
+
+        from repro.streaming.trace_io import write_json_atomic
+
+        store = ResultStore(tmp_path / "store")
+        key = "ee" + "2" * 62
+        payload = {"values": list(range(1000)), "name": "old"}
+        store.put(key, payload)
+        level6 = store._object_path(key).read_bytes()
+        buffer = io.BytesIO()
+        with gzip.GzipFile(fileobj=buffer, mode="wb", compresslevel=9, mtime=0) as handle:
+            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        raw = buffer.getvalue()
+        assert raw != level6
+        store._object_path(key).write_bytes(raw)
+        write_json_atomic(
+            store._record_path(key),
+            {"key": key, "payload_bytes": len(raw),
+             "payload_sha256": hashlib.sha256(raw).hexdigest()},
+        )
+        assert key in store
+        assert store.get(key) == payload
+
     @pytest.mark.parametrize("mutate", ["payload", "record"])
     def test_mutated_cell_is_recomputed_on_resume(self, tmp_path, mutate):
         """A campaign resumed over a mutated store recomputes the damaged

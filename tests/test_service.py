@@ -29,7 +29,7 @@ from repro.service import (
     packet_batch_from_json,
 )
 from repro.service.config import DetectionSection, SketchSection, WindowSection
-from repro.service.engine import MAX_ENDPOINT_ID, BatchError
+from repro.service.engine import MAX_ENDPOINT_ID, MAX_PACKET_SIZE, BatchError
 
 N_VALID = 2_000
 SCENARIO = "stationary"
@@ -174,6 +174,19 @@ class TestPacketBatchFromJson:
             ({"src": [1], "dst": [2], "time": [1.0, 2.0]}, "length 1"),
             ({"src": [1], "dst": [2], "valid": [1]}, "booleans"),
             ({"src": [1], "dst": [2], "size": ["big"]}, "numbers"),
+            ({"src": [True, 2], "dst": [3, 4]}, "got booleans"),
+            ({"src": [1, 2], "dst": [0, False]}, "got booleans"),
+            ({"src": [1, 2], "dst": [3, 4], "size": [100, True]}, "got booleans"),
+            ({"src": [1], "dst": [2], "size": [99_999_999_999]}, "out-of-range sizes"),
+            ({"src": [1], "dst": [2], "size": [MAX_PACKET_SIZE + 1]}, "out-of-range sizes"),
+            ({"src": [1], "dst": [2], "size": [-1]}, "out-of-range sizes"),
+            ({"src": [1], "dst": [2], "size": [1e10]}, "out-of-range sizes"),
+            ({"src": [1], "dst": [2], "size": [float("inf")]}, "out-of-range sizes"),
+            ({"src": [1], "dst": [2], "size": [100.5]}, "integral"),
+            ({"src": [1], "dst": [2], "size": [float("nan")]}, "integral"),
+            ({"src": [1, 2], "dst": [2, 3], "time": [0.5, float("nan")]}, "finite"),
+            ({"src": [1], "dst": [2], "time": [float("inf")]}, "finite"),
+            ({"src": [1], "dst": [2], "time": [float("-inf")]}, "finite"),
         ],
     )
     def test_rejections(self, batch, needle):
@@ -184,6 +197,12 @@ class TestPacketBatchFromJson:
     def test_boundary_ids_accepted(self):
         trace = packet_batch_from_json({"src": [0], "dst": [MAX_ENDPOINT_ID]})
         assert trace.n_packets == 1
+
+    @pytest.mark.parametrize("sizes", [[0, MAX_PACKET_SIZE], [64.0, 1500.0], [1, 0]])
+    def test_boundary_and_integral_sizes_accepted(self, sizes):
+        trace = packet_batch_from_json({"src": [0, 1], "dst": [1, 0], "size": sizes})
+        assert trace.packets["size"].tolist() == [int(size) for size in sizes]
+        assert trace.packets["src"].tolist() == [0, 1]
 
 
 def _scenario_chunks(chunk_packets: int):

@@ -157,6 +157,22 @@ class TestFaultContainment:
         assert "out-of-range" in body["error"]["message"]
         daemon.assert_fold_advances()
 
+    @pytest.mark.parametrize(
+        ("columns", "needle"),
+        [
+            ({"src": [True, 2], "dst": [3, 4]}, "booleans"),
+            ({"src": [1], "dst": [2], "size": [99_999_999_999]}, "out-of-range sizes"),
+            ({"src": [1], "dst": [2], "time": [float("nan")]}, "finite"),
+        ],
+    )
+    def test_bad_values_fold_nothing(self, daemon, columns, needle):
+        before = daemon.windows_folded()
+        status, body = daemon.request("POST", f"/ingest/{JOB}", json.dumps(columns) + "\n")
+        _assert_structured_error(status, body, "bad_batch")
+        assert needle in body["error"]["message"]
+        assert daemon.windows_folded() == before
+        daemon.assert_fold_advances()
+
     def test_wrong_shape_batch(self, daemon):
         bad = json.dumps({"src": [1, 2, 3], "dst": [4]})
         status, body = daemon.request("POST", f"/ingest/{JOB}", bad + "\n")
