@@ -9,10 +9,12 @@ asserted as the cases run.
 
 Timing method: each case is run ``ROUNDS`` times after one untimed warm-up
 and the **best** wall-clock is recorded, mirroring the streaming-engine
-bench — the per-case warm-up matters because the streaming backend pays
-one-time costs (prefetch machinery, code paths) on its first use, and
-without it whichever streaming case happens to run first reports a
-several-fold inflated number that trips ``tools/check_bench.py``.
+bench — the per-case warm-up matters because the first run of a case pays
+one-time costs (lazy imports, first-call code paths), and without it
+whichever case happens to run first reports an inflated number that trips
+``tools/check_bench.py``.  The streaming
+backend is the serial map under its own name, so its rows differ from the
+serial rows only by the chunked, bounded-buffer scenario reads.
 """
 
 from __future__ import annotations

@@ -162,13 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: 1, or auto with --backend process)")
     ana.add_argument("--backend", choices=list(BACKEND_NAMES), default=None,
                      help="execution backend (default: serial, or process when --workers > 1); "
-                          "'streaming' analyses the trace out-of-core, chunk by chunk")
+                          "every backend reads the trace chunk by chunk, 'streaming' also "
+                          "keeps no per-window results")
     ana.add_argument("--chunk-packets", type=int, default=None,
                      help="read/cut the trace in chunks of this many packets "
-                          "(bounds memory under --backend streaming)")
+                          "(bounds the packets buffered at once)")
     ana.add_argument("--batch-windows", type=int, default=None,
-                     help="windows moved per backend task / prefetch slot "
-                          "(default: auto; an execution knob — never changes results)")
+                     help="windows per process-backend task "
+                          "(default: 4; an execution knob — never changes results)")
     _add_transport_argument(ana)
     ana.add_argument("--mmap", action="store_true",
                      help="memory-map npy-layout shards instead of loading them "
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker processes for the window map (process backend)")
     _add_transport_argument(scen_run)
     scen_run.add_argument("--batch-windows", type=int, default=None,
-                          help="windows moved per backend task / prefetch slot (default: auto)")
+                          help="windows per process-backend task (default: 4)")
     scen_run.add_argument("--chunk-packets", type=int, default=None,
                           help="emit the scenario trace in chunks of this many packets "
                                "(bounds memory under --backend streaming)")
@@ -274,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(bounds memory under --backend streaming)")
     _add_transport_argument(det_run)
     det_run.add_argument("--batch-windows", type=int, default=None,
-                         help="windows moved per backend task / prefetch slot "
-                              "(default: auto; an execution knob — never changes alarms)")
+                         help="windows per process-backend task "
+                              "(default: 4; an execution knob — never changes alarms)")
     det_run.add_argument("--mode", choices=list(MODE_NAMES), default="exact",
                          help="per-window analysis tier: 'exact' (fused kernel) or "
                               "'sketch' (detectors monitor the sketched histograms)")
@@ -498,59 +499,32 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if Path(args.trace).exists() and trace_format(args.trace) == 1:
             print("note: v1 .npz archives load whole before chunking; generate with "
                   "--shard-packets for true out-of-core reads")
-        # out-of-core path: hand the engine the path so shards stream from disk
         print(f"streaming trace from {args.trace}")
-        analysis = analyze_trace(
-            args.trace,
-            args.nv,
-            quantities=tuple(args.quantities),
-            backend="streaming",
-            chunk_packets=args.chunk_packets,
-            batch_windows=args.batch_windows,
-            mode=args.mode,
-            sketch=sketch,
-            mmap=args.mmap,
-        )
-        stats = analysis.engine_stats
+    elif args.mmap:
+        print(f"mapping trace shards from {args.trace}")
+    else:
+        print(f"reading trace from {args.trace}")
+    # the engine reads the stored trace itself, chunk by chunk, on every backend
+    analysis = analyze_trace(
+        args.trace,
+        args.nv,
+        quantities=tuple(args.quantities),
+        n_workers=args.workers,
+        backend=args.backend,
+        chunk_packets=args.chunk_packets,
+        batch_windows=args.batch_windows,
+        mode=args.mode,
+        sketch=sketch,
+        payload_transport=args.payload_transport,
+        mmap=args.mmap,
+    )
+    stats = analysis.engine_stats
+    if stats["backend"] == "streaming":
         print(f"engine: backend={stats['backend']} chunks={stats.get('n_chunks')} "
               f"peak buffered packets={stats.get('max_buffered_packets')}")
-    elif args.mmap:
-        # memory-mapped path: hand the engine the path so shards map, never load
-        print(f"mapping trace shards from {args.trace}")
-        analysis = analyze_trace(
-            args.trace,
-            args.nv,
-            quantities=tuple(args.quantities),
-            n_workers=args.workers,
-            backend=args.backend,
-            chunk_packets=args.chunk_packets,
-            batch_windows=args.batch_windows,
-            mode=args.mode,
-            sketch=sketch,
-            payload_transport=args.payload_transport,
-            mmap=True,
-        )
-        stats = analysis.engine_stats
+    elif args.mmap or "payload_transport" in stats:
         print(f"engine: backend={stats['backend']}"
               + (f" transport={stats['payload_transport']}" if "payload_transport" in stats else ""))
-    else:
-        trace = load_trace(args.trace)
-        print(f"loaded {trace.n_packets} packets ({trace.n_valid} valid) from {args.trace}")
-        analysis = analyze_trace(
-            trace,
-            args.nv,
-            quantities=tuple(args.quantities),
-            n_workers=args.workers,
-            backend=args.backend,
-            chunk_packets=args.chunk_packets,
-            batch_windows=args.batch_windows,
-            mode=args.mode,
-            sketch=sketch,
-            payload_transport=args.payload_transport,
-        )
-        stats = analysis.engine_stats
-        if "payload_transport" in stats:
-            print(f"engine: backend={stats['backend']} transport={stats['payload_transport']}")
     print(f"{analysis.n_windows} windows of N_V = {args.nv} valid packets\n")
     print("Table-I aggregates per window:")
     print(format_table(analysis.aggregates_table()))

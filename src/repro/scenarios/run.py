@@ -26,7 +26,7 @@ from repro.scenarios.scenario import Scenario, get_scenario
 from repro.scenarios.source import DEFAULT_BLOCK_PACKETS, ScenarioTraceSource, SeedLike
 from repro.streaming.aggregates import QUANTITY_NAMES
 from repro.streaming.parallel import ExecutionBackend, get_backend
-from repro.streaming.pipeline import StreamAnalyzer, WindowedAnalysis, fold_windows
+from repro.streaming.pipeline import StreamAnalyzer, WindowedAnalysis, backend_stats, fold_windows
 from repro.streaming.sketch import SketchConfig
 from repro.streaming.window import ChunkedWindower
 
@@ -171,11 +171,7 @@ def analyze_scenario(
         batch_windows=batch_windows, mode=mode, sketch=analyzer.sketch_config,
     )
     stats = {
-        "backend": backend_impl.name,
-        **(
-            {"payload_transport": backend_impl.payload_transport}
-            if hasattr(backend_impl, "payload_transport") else {}
-        ),
+        **backend_stats(backend_impl),
         "scenario": scenario.name,
         "n_phases": scenario.n_phases,
         "max_buffered_packets": windower.max_buffered_packets,

@@ -18,8 +18,8 @@ subpackage provides a laptop-scale replacement for that pipeline:
   computes all of the above in one pass over packed ``(src, dst)`` keys,
 * :mod:`repro.streaming.pipeline` — the single-pass analysis engine:
   trace → windows → histograms → running pooled distributions, executed on a
-  pluggable backend (:mod:`repro.streaming.parallel` — serial, process pool,
-  or bounded-memory streaming with prefetch),
+  pluggable backend (:mod:`repro.streaming.parallel` — serial, or a lazily
+  fed process pool with a bounded number of tasks in flight),
 * :mod:`repro.streaming.shm` — the shared-memory zero-copy payload transport
   the process backend defaults to where the platform supports it.
 """
@@ -53,7 +53,6 @@ from repro.streaming.pipeline import (
     analyze_window_image,
     analyze_window_sketch,
     analyze_windows,
-    default_batch_windows,
 )
 from repro.streaming.shm import (
     TRANSPORT_NAMES,
@@ -113,7 +112,6 @@ __all__ = [
     "analyze_window_image",
     "analyze_window_sketch",
     "analyze_windows",
-    "default_batch_windows",
     "DEFAULT_SKETCH_CONFIG",
     "SketchBounds",
     "SketchConfig",

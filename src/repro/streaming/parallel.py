@@ -1,29 +1,27 @@
 """Pluggable execution backends for the window-analysis map.
 
 The paper's measurements were produced on an interactive supercomputer with
-sparse-matrix parallelism; the laptop-scale equivalent here is a family of
-execution strategies behind one :class:`ExecutionBackend` protocol.  Windows
-are independent by construction (each aggregates a disjoint slice of
-packets), so the map is embarrassingly parallel and the substrate can be
-swapped beneath a stable analysis API:
+sparse-matrix parallelism; the laptop-scale equivalent here is a small
+family of execution strategies behind one :class:`ExecutionBackend`
+protocol.  Windows are independent by construction (each aggregates a
+disjoint slice of packets), so the map is embarrassingly parallel and the
+substrate can be swapped beneath a stable analysis API:
 
 * :class:`SerialBackend` — in-process, lazy, deterministic; the default and
   the debugging baseline.
 * :class:`ProcessBackend` — a warm, process-wide ``multiprocessing`` pool
-  driven through ``imap`` so results stream back in window order as they
-  complete instead of barriering behind a single ``map`` call.  Items are
-  whatever the caller maps — the single-pass engine maps *batches* of
-  window payloads, so one task carries many windows — and the ``imap``
-  chunksize is derived from the item (batch) count
-  (:func:`default_chunksize`).  The pool outlives individual maps
-  (:func:`shared_pool`), so repeated analyses stop paying worker start-up.
-* :class:`StreamingBackend` — bounded-memory single-pass execution that
-  overlaps window production (I/O, decompression, windowing) with analysis
-  through a fixed-depth prefetch queue fed by a background thread; at most
-  ``prefetch`` items (windows, or window batches when the engine batches)
-  exist in the queue at any moment.
+  fed lazily: the input is consumed only as results are, with at most
+  ``2 × n_workers`` tasks in flight, so a map over an unbounded stream stays
+  bounded in memory.  Items are whatever the caller maps — the single-pass
+  engine maps *batches* of window payloads, so one task carries several
+  windows.  The pool outlives individual maps (:func:`shared_pool`), so
+  repeated analyses stop paying worker start-up.
+* :class:`StreamingBackend` — the serial map under its own name.  Its
+  bounded memory comes from the chunked trace reads the engine pairs it
+  with (``keep_windows`` defaults to ``False`` and scenario sources are
+  read in blocks), not from anything in the map itself.
 
-All three yield results **in window order**, which is what lets the
+All three yield results **in input order**, which is what lets the
 incremental consumer (:class:`repro.streaming.pipeline.StreamAnalyzer`) fold
 them into bit-identical pooled aggregates regardless of backend.
 
@@ -34,11 +32,12 @@ wrapper over the serial/process backends.
 from __future__ import annotations
 
 import atexit
+import collections
+import itertools
 import multiprocessing
 import os
-import queue
 import threading
-from typing import Callable, Iterable, Iterator, List, Protocol, Sequence, TypeVar, Union, runtime_checkable
+from typing import Callable, Iterable, Iterator, List, Protocol, TypeVar, Union, runtime_checkable
 
 from repro._util.logging import get_logger
 from repro._util.validation import check_positive_int
@@ -53,7 +52,6 @@ __all__ = [
     "map_windows",
     "usable_cpu_count",
     "default_worker_count",
-    "default_chunksize",
     "shared_pool",
     "shutdown_shared_pools",
 ]
@@ -95,21 +93,6 @@ def default_worker_count(*, reserve: int = 2, maximum: int = 16) -> int:
     cpus = usable_cpu_count()
     scaled_reserve = min(reserve, max(0, cpus - 2))
     return max(1, min(cpus - scaled_reserve, maximum))
-
-
-def default_chunksize(n_items: int, n_workers: int) -> int:
-    """Items handed to a worker per ``imap`` task: ``max(1, n // (4·workers))``.
-
-    Four tasks per worker amortises dispatch overhead while still letting
-    the pool balance uneven costs.  The engine maps *batches* of windows,
-    so ``n_items`` is the batch count and the heuristic no longer
-    over-chunks small workloads: a batched workload sized to ~4 tasks per
-    worker resolves to chunksize 1, i.e. the batch itself is the unit of
-    work-stealing.
-    """
-    if n_workers <= 0:
-        raise ValueError("n_workers must be >= 1")
-    return max(1, n_items // (4 * n_workers))
 
 
 # -- warm shared pools --------------------------------------------------------
@@ -230,8 +213,7 @@ class ExecutionBackend(Protocol):
     Implementations expose a ``name`` (one of :data:`BACKEND_NAMES` for the
     built-ins) and a :meth:`map` that applies *func* to every item of
     *items*, yielding results **in input order**.  ``map`` must be safe to
-    consume lazily; whether the input iterable is materialized is a backend
-    property (the streaming backend never does).
+    consume lazily; the built-ins never materialize their input.
     """
 
     name: str
@@ -251,14 +233,25 @@ class SerialBackend:
         return (func(item) for item in items)
 
 
-class ProcessBackend:
-    """Worker-pool execution streaming results back through ``imap``.
+class StreamingBackend(SerialBackend):
+    """The serial map under the ``"streaming"`` name.
 
-    The input iterable is materialized (the pool needs to pickle tasks out
-    ahead of results coming back), so memory is O(items); use
-    :class:`StreamingBackend` when the trace does not fit.  Results still
-    stream back one task at a time, so downstream folding overlaps with
-    worker compute instead of waiting on a ``pool.map`` barrier.
+    Kept so ``backend="streaming"`` (and ``engine_stats``, campaign reports
+    and CLI banners that print it) read as before.  What the name selects
+    lives in the callers: per-window results are not retained by default
+    and scenario sources are read in bounded blocks.
+    """
+
+    name = "streaming"
+
+
+class ProcessBackend:
+    """Worker-pool execution fed lazily, with a bounded number of tasks in flight.
+
+    :meth:`map` pulls an input item only when a task slot frees up: at most
+    ``2 × n_workers`` tasks are submitted ahead of the result being yielded,
+    so memory is O(workers), not O(items), however long the input runs.
+    Results stream back in input order as each one completes.
 
     Maps run on the warm :func:`shared_pool` for the backend's worker
     count: the workers persist across calls, so only the first map pays
@@ -269,20 +262,13 @@ class ProcessBackend:
 
     name = "process"
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        *,
-        chunksize: int | None = None,
-        payload_transport: str | None = None,
-    ) -> None:
+    def __init__(self, n_workers: int | None = None, *, payload_transport: str | None = None) -> None:
         from repro.streaming.shm import check_payload_transport
 
         self.n_workers = default_worker_count() if n_workers is None else check_positive_int(n_workers, "n_workers")
-        self.chunksize = None if chunksize is None else check_positive_int(chunksize, "chunksize")
-        #: How the batched payload path ships window columns to workers:
-        #: ``"shm"`` (shared-memory segments, zero-copy, the default where
-        #: supported) or ``"pickle"`` (column bytes through the task pipe).
+        #: How the engine ships window columns to workers: ``"shm"``
+        #: (shared-memory segments, zero-copy, the default where supported)
+        #: or ``"pickle"`` (column bytes through the task pipe).
         #: Bit-identical output either way.
         self.payload_transport = check_payload_transport(payload_transport)
 
@@ -293,9 +279,7 @@ class ProcessBackend:
     def downgraded(self, n_items: int) -> bool:
         """Whether a map over *n_items* degrades to serial execution.
 
-        The one place the downgrade decision is made and logged — both
-        :meth:`map` and the engine's batched payload path consult it, so
-        the policy and its log line cannot drift apart.
+        The one place the downgrade decision is made and logged.
         """
         if self.effective_workers(n_items) > 1:
             return False
@@ -307,25 +291,32 @@ class ProcessBackend:
         return True
 
     def map(self, func: Callable[[_T], _R], items: Iterable[_T]) -> Iterator[_R]:
-        """Apply *func* across the pool, yielding results in input order."""
-        item_list: Sequence[_T] = items if isinstance(items, Sequence) else list(items)
-        if not item_list:
-            return iter(())
-        if self.downgraded(len(item_list)):
-            return SerialBackend().map(func, item_list)
-        n_workers = self.effective_workers(len(item_list))
-        chunksize = self.chunksize or default_chunksize(len(item_list), n_workers)
-        _logger.debug(
-            "mapping %d tasks across %d workers (chunksize %d)", len(item_list), n_workers, chunksize
-        )
-        return self._imap(func, item_list, n_workers, chunksize)
+        """Apply *func* across the pool, yielding results in input order.
+
+        The first ``n_workers`` items are read up front to size the pool: a
+        shorter input occupies only as many workers as it has items, and an
+        input of at most one item runs in-process.
+        """
+        items = iter(items)
+        head = list(itertools.islice(items, self.n_workers))
+        if self.downgraded(len(head)):
+            return SerialBackend().map(func, itertools.chain(head, items))
+        n_workers = self.effective_workers(len(head))
+        _logger.debug("mapping across %d workers, at most %d tasks in flight", n_workers, 2 * n_workers)
+        return self._bounded_map(func, itertools.chain(head, items), n_workers)
 
     @staticmethod
-    def _imap(func, item_list, n_workers, chunksize) -> Iterator:
+    def _bounded_map(func, items, n_workers) -> Iterator:
         entry = _checkout_shared_pool(n_workers)
+        in_flight: collections.deque = collections.deque()
         failed = False
         try:
-            yield from entry.pool.imap(func, item_list, chunksize=chunksize)
+            for item in items:
+                in_flight.append(entry.pool.apply_async(func, (item,)))
+                if len(in_flight) >= 2 * n_workers:
+                    yield in_flight.popleft().get()
+            while in_flight:
+                yield in_flight.popleft().get()
         except GeneratorExit:
             # the consumer abandoned the iteration — no worker failed; the
             # pool is healthy and in-flight tasks simply drain in the
@@ -342,109 +333,10 @@ class ProcessBackend:
             _checkin_shared_pool(entry, failed=failed)
 
 
-#: How long a map teardown waits for the prefetch producer thread to exit
-#: before logging that it is still alive (it cannot be killed; an input
-#: iterator blocked in I/O pins it until that read returns).
-_PRODUCER_JOIN_TIMEOUT = 5.0
-
-
-class _PrefetchFailure:
-    """Carries a producer-side exception across the prefetch queue."""
-
-    def __init__(self, error: BaseException) -> None:
-        self.error = error
-
-
-class StreamingBackend:
-    """Bounded-memory execution overlapping window production with analysis.
-
-    A daemon thread pulls windows from the input iterator into a queue of
-    fixed depth *prefetch* while the consuming thread applies *func*; the
-    queue back-pressures the producer, so at most ``prefetch + 1`` windows
-    are alive at any moment no matter how long the trace is.  Producer
-    exceptions are re-raised at the consumption point; if the consumer
-    raises or abandons the result iterator, the producer is signalled to
-    stop so no thread (or buffered window) outlives the map.
-    """
-
-    name = "streaming"
-
-    def __init__(self, *, prefetch: int = 4) -> None:
-        self.prefetch = check_positive_int(prefetch, "prefetch")
-
-    def map(self, func: Callable[[_T], _R], items: Iterable[_T]) -> Iterator[_R]:
-        """Apply *func* to the stream with a fixed-depth prefetch buffer."""
-        return self._consume(func, iter(items))
-
-    def _consume(self, func, items) -> Iterator:
-        fence = queue.Queue(maxsize=self.prefetch)
-        done = object()
-        stop = threading.Event()
-
-        def put(obj) -> bool:
-            # bounded put that gives up when the consumer has gone away,
-            # so an abandoned map never leaves a thread blocked on a full queue
-            while not stop.is_set():
-                try:
-                    fence.put(obj, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def produce() -> None:
-            try:
-                for item in items:
-                    if not put(item):
-                        return
-            except BaseException as error:  # noqa: BLE001 - forwarded to consumer
-                if not put(_PrefetchFailure(error)):
-                    # the consumer is gone and will never observe this error;
-                    # a silent drop would bury a real producer failure
-                    _logger.warning(
-                        "streaming producer error dropped after the consumer "
-                        "abandoned the map: %r", error,
-                    )
-            else:
-                put(done)
-
-        producer = threading.Thread(target=produce, name="repro-prefetch", daemon=True)
-        producer.start()
-        try:
-            while True:
-                item = fence.get()
-                if item is done:
-                    break
-                if isinstance(item, _PrefetchFailure):
-                    raise item.error
-                yield func(item)
-        finally:
-            stop.set()
-            # drain the queue so a producer blocked on a full slot wakes on
-            # its very next put attempt instead of waiting out put timeouts
-            while True:
-                try:
-                    fence.get_nowait()
-                except queue.Empty:
-                    break
-            producer.join(timeout=_PRODUCER_JOIN_TIMEOUT)
-            if producer.is_alive():
-                # honest deadline: say so when the thread outlives the map
-                # (an input iterator blocked in I/O can pin it) instead of
-                # silently pretending the join succeeded
-                _logger.warning(
-                    "streaming producer thread still alive %.1fs after map "
-                    "teardown; the input iterator appears blocked",
-                    _PRODUCER_JOIN_TIMEOUT,
-                )
-
-
 def get_backend(
     backend: Union[str, ExecutionBackend, None] = None,
     *,
     n_workers: int | None = None,
-    chunksize: int | None = None,
-    prefetch: int = 4,
     payload_transport: str | None = None,
 ) -> ExecutionBackend:
     """Resolve a backend specification to an :class:`ExecutionBackend`.
@@ -461,11 +353,11 @@ def get_backend(
     """
     if backend is None:
         if n_workers is not None and n_workers > 1:
-            return ProcessBackend(n_workers, chunksize=chunksize, payload_transport=payload_transport)
+            return ProcessBackend(n_workers, payload_transport=payload_transport)
         backend = "serial"
     if isinstance(backend, str):
         if backend == "process":
-            return ProcessBackend(n_workers, chunksize=chunksize, payload_transport=payload_transport)
+            return ProcessBackend(n_workers, payload_transport=payload_transport)
         if payload_transport is not None:
             raise ValueError(
                 f"payload_transport={payload_transport!r} only applies to the process "
@@ -474,7 +366,7 @@ def get_backend(
         if backend == "serial":
             return SerialBackend()
         if backend == "streaming":
-            return StreamingBackend(prefetch=prefetch)
+            return StreamingBackend()
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}")
     if isinstance(backend, ExecutionBackend):
         if payload_transport is not None:
@@ -491,7 +383,6 @@ def map_windows(
     windows: Iterable[_T],
     *,
     n_workers: int = 1,
-    chunksize: int | None = None,
 ) -> List[_R]:
     """Apply *func* to every window, optionally across worker processes.
 
@@ -505,18 +396,12 @@ def map_windows(
         Iterable of windows (e.g. :func:`repro.streaming.window.iter_windows`).
     n_workers:
         Number of worker processes; ``<= 1`` runs serially in-process.
-    chunksize:
-        Windows handed to a worker per task when running in parallel; by
-        default derived from the workload via :func:`default_chunksize`.
 
     Returns
     -------
     list
         One result per window, in window order.
     """
-    window_list = list(windows)
-    if not window_list:
-        return []
     if n_workers <= 1:
-        return [func(w) for w in window_list]
-    return list(ProcessBackend(n_workers, chunksize=chunksize).map(func, window_list))
+        return [func(w) for w in windows]
+    return list(ProcessBackend(n_workers).map(func, windows))

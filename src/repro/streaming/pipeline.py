@@ -13,13 +13,15 @@ histograms.  Because the fold happens in window order on every backend, the
 serial, process, and streaming backends produce bit-identical pooled
 distributions; because the fold state is O(bins) per quantity (plus a
 few-integer Table-I row per window, droppable via
-``StreamAnalyzer(keep_aggregates=False)``), the streaming backend can
-analyse an on-disk trace far larger than memory
-(``analyze_trace(path, ..., backend="streaming", chunk_packets=...)``).
+``StreamAnalyzer(keep_aggregates=False)``), every backend can analyse an
+on-disk trace far larger than memory
+(``analyze_trace(path, ..., chunk_packets=...)``).
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import itertools
 import os
@@ -42,7 +44,6 @@ from repro.streaming.packet import PacketTrace
 from repro.streaming.parallel import (
     ExecutionBackend,
     ProcessBackend,
-    StreamingBackend,
     get_backend,
 )
 from repro.streaming.sketch import (
@@ -66,7 +67,7 @@ __all__ = [
     "analyze_window_sketch",
     "analyze_windows",
     "analyze_trace",
-    "default_batch_windows",
+    "backend_stats",
     "fold_windows",
     "iter_window_results",
 ]
@@ -593,131 +594,89 @@ def analyze_window_sketch(
 
 #: Result pair moved through the engine: the window's products plus its
 #: per-quantity pooled vectors when a worker already computed them (the
-#: batched process backend pools in the worker; other paths pool at fold
-#: time, so the second element is ``None``).
+#: process backend pools in the worker; other paths pool at fold time, so
+#: the second element is ``None``).
 _ResultPair = Tuple[WindowResult, Optional[Mapping[str, PooledDistribution]]]
 
-#: Windows grouped into one streaming-backend queue slot by default.
-STREAM_BATCH_WINDOWS = 4
-
-#: Upper bound on windows per process-backend task (keeps payloads modest).
-MAX_BATCH_WINDOWS = 64
-
-#: Target worker tasks per worker for the batched process backend.
-_TASKS_PER_WORKER = 4
+#: Windows packed into one process-backend task unless ``batch_windows``
+#: says otherwise.  With at most ``2 × n_workers`` tasks in flight, the
+#: engine reads at most ``(2 × n_workers + 1) × batch`` windows ahead of
+#: the fold.
+BATCH_WINDOWS = 4
 
 
-def default_batch_windows(n_windows: int, n_workers: int) -> int:
-    """Windows packed into one process-backend task.
-
-    Sized so the workload splits into ~``4 × n_workers`` tasks (enough for
-    the pool to balance uneven window costs), capped at
-    :data:`MAX_BATCH_WINDOWS` so a single task's payload stays modest.
-    """
-    n_windows = check_positive_int(n_windows, "n_windows")
-    n_workers = check_positive_int(n_workers, "n_workers")
-    ideal = -(-n_windows // (_TASKS_PER_WORKER * n_workers))
-    return max(1, min(ideal, MAX_BATCH_WINDOWS))
-
-
-def _analyze_payload_batch(
-    batch: Tuple[_kernel.WindowPayload, ...],
+def _analyze_batch(
+    batch: Tuple[Union[_kernel.WindowPayload, "_shm.ShmWindowRef"], ...],
     quantities: Sequence[str] = QUANTITY_NAMES,
+    config: SketchConfig | None = None,
 ) -> Tuple[_ResultPair, ...]:
-    """Worker task of the batched process backend.
+    """The process backend's one worker task.
 
-    Analyses a batch of shipped window payloads and pools the requested
-    *quantities* while still in the worker, so the parent's fold is a pure
-    accumulate.  The returned pairs are compact: four aggregate integers,
-    five small (degrees, counts) histogram arrays, and one
-    ~``log2(N_V)``-bin pooled vector per pooled quantity per window.
-    """
-    pairs = []
-    for payload in batch:
-        aggregates, histograms = _kernel.payload_products(payload)
-        result = WindowResult(aggregates=aggregates, histograms=histograms)
-        pooled = {q: pool_differential_cumulative(histograms[q]) for q in quantities}
-        pairs.append((result, pooled))
-    return tuple(pairs)
-
-
-def _analyze_ref_batch(
-    batch: Tuple["_shm.ShmWindowRef", ...],
-    quantities: Sequence[str] = QUANTITY_NAMES,
-) -> Tuple[_ResultPair, ...]:
-    """Shared-memory sibling of :func:`_analyze_payload_batch`.
-
-    The batch carries :class:`~repro.streaming.shm.ShmWindowRef` records
-    instead of column arrays; the worker attaches the published segment and
-    analyses zero-copy views of the shared pages.  The returned pairs are
-    fresh arrays (aggregates, histograms, pooled vectors), so nothing
-    aliases the segment once the task returns.
+    Analyses a batch of window payloads — column arrays, or
+    :class:`~repro.streaming.shm.ShmWindowRef` records resolved to views of
+    a published shared-memory segment — with the exact kernel, or with the
+    sketch tier when *config* is given.  The requested *quantities* are
+    pooled while still in the worker, so the parent's fold is a pure
+    accumulate.  Everything returned is a fresh array, so nothing aliases a
+    segment once the task ends.
     """
     pairs = []
     with _shm.attached_payloads() as resolve:
-        for ref in batch:
-            aggregates, histograms = _kernel.payload_products(resolve(ref))
-            result = WindowResult(aggregates=aggregates, histograms=histograms)
-            pooled = {q: pool_differential_cumulative(histograms[q]) for q in quantities}
-            pairs.append((result, pooled))
-    return tuple(pairs)
-
-
-def _analyze_ref_batch_sketch(
-    batch: Tuple["_shm.ShmWindowRef", ...],
-    quantities: Sequence[str] = QUANTITY_NAMES,
-    config: SketchConfig = DEFAULT_SKETCH_CONFIG,
-) -> Tuple[_ResultPair, ...]:
-    """Sketch-mode worker task over shared-memory window references."""
-    pairs = []
-    with _shm.attached_payloads() as resolve:
-        for ref in batch:
-            result = _sketch_payload_result(resolve(ref), config)
+        for item in batch:
+            payload = resolve(item) if isinstance(item, _shm.ShmWindowRef) else item
+            if config is None:
+                result = WindowResult(*_kernel.payload_products(payload))
+            else:
+                result = WindowResult(*sketch_products(*_kernel.payload_columns(payload), config))
             pooled = {q: pool_differential_cumulative(result.histograms[q]) for q in quantities}
             pairs.append((result, pooled))
     return tuple(pairs)
 
 
-def _sketch_payload_result(
-    payload: _kernel.WindowPayload, config: SketchConfig
-) -> WindowResult:
-    """Sketch one shipped window payload (worker side of the process backend)."""
-    src, dst = _kernel.payload_columns(payload)
-    aggregates, histograms, bounds, sketch = sketch_products(src, dst, config)
-    return WindowResult(
-        aggregates=aggregates, histograms=histograms, bounds=bounds, sketch=sketch
-    )
+def _process_results(
+    backend_impl: ProcessBackend,
+    windows: Iterator[PacketTrace],
+    window_task,
+    batch: int,
+    quantities: Sequence[str],
+    sketch_config: SketchConfig | None,
+) -> Iterator[_ResultPair]:
+    """The process backend's side of :func:`iter_window_results`.
 
-
-def _analyze_payload_batch_sketch(
-    batch: Tuple[_kernel.WindowPayload, ...],
-    quantities: Sequence[str] = QUANTITY_NAMES,
-    config: SketchConfig = DEFAULT_SKETCH_CONFIG,
-) -> Tuple[_ResultPair, ...]:
-    """Sketch-mode worker task of the batched process backend.
-
-    Same shape as :func:`_analyze_payload_batch` (results plus worker-side
-    pooled vectors); each result additionally ships its ~0.4 MB sketch so
-    the parent can fold by merging.
+    Windows are packed (:func:`repro.streaming.kernel.window_payload`) as
+    they stream past, *batch* to a task.  Under the ``"shm"`` transport
+    each batch is published to its own segment, closed once that batch's
+    results have been yielded — or when the fold fails or is abandoned.
     """
-    pairs = []
-    for payload in batch:
-        result = _sketch_payload_result(payload, config)
-        pooled = {q: pool_differential_cumulative(result.histograms[q]) for q in quantities}
-        pairs.append((result, pooled))
-    return tuple(pairs)
+    head = list(itertools.islice(windows, 2))
+    if backend_impl.n_workers == 1 or len(head) < 2:
+        # nothing to parallelise: stay in-process, identical to the serial
+        # path (the backend's map makes and logs the downgrade decision)
+        _logger.debug("process backend cannot occupy two workers; analysing in-process")
+        for result in backend_impl.map(window_task, itertools.chain(head, windows)):
+            yield result, None
+        return
+    payloads = (_kernel.window_payload(w) for w in itertools.chain(head, windows))
+    batches = iter_batches(payloads, batch)
+    published: collections.deque = collections.deque()
+    if backend_impl.payload_transport == "shm":
 
+        def publish(batches):
+            for payload_batch in batches:
+                handle = _shm.publish_payloads(payload_batch)
+                published.append(handle)
+                yield handle.refs
 
-def _analyze_window_batch(batch: Tuple[PacketTrace, ...]) -> Tuple[WindowResult, ...]:
-    """In-process batch analysis (one streaming-backend queue slot)."""
-    return tuple(analyze_window(window) for window in batch)
-
-
-def _analyze_window_batch_sketch(
-    batch: Tuple[PacketTrace, ...], config: SketchConfig = DEFAULT_SKETCH_CONFIG
-) -> Tuple[WindowResult, ...]:
-    """Sketch-mode in-process batch analysis (one streaming queue slot)."""
-    return tuple(analyze_window_sketch(window, config) for window in batch)
+        batches = publish(batches)
+    task = functools.partial(_analyze_batch, quantities=tuple(quantities), config=sketch_config)
+    try:
+        for pairs in backend_impl.map(task, batches):
+            yield from pairs
+            if published:
+                published.popleft().close()
+    finally:
+        while published:
+            published.popleft().close()
 
 
 def iter_window_results(
@@ -731,119 +690,35 @@ def iter_window_results(
 ) -> Iterator[_ResultPair]:
     """Map windows through a backend, yielding ``(result, pooled)`` in order.
 
-    The batching strategy is chosen per backend:
-
-    * **process** — windows are packed into raw-column payloads
-      (:func:`repro.streaming.kernel.window_payload`) and shipped in batches
-      of *batch_windows* (default :func:`default_batch_windows`), one batch
-      per task; workers return results *and* the pooled vectors of
-      *quantities*, so per-window pickle traffic and task count both drop
-      by ~an order of magnitude versus mapping whole :class:`PacketTrace`
-      windows one at a time.  How the column bytes reach the workers is the
-      backend's ``payload_transport``: ``"shm"`` (the default where
-      supported) publishes them once into a shared-memory segment
+    * **process** — windows are packed into raw-column payloads and shipped
+      in batches of *batch_windows* (default :data:`BATCH_WINDOWS`), one
+      batch per task; workers return results *and* the pooled vectors of
+      *quantities*.  The window stream is consumed lazily, so the engine
+      holds at most ``(2 × n_workers + 1) × batch`` windows at once.  How
+      the column bytes reach the workers is the backend's
+      ``payload_transport``: ``"shm"`` (the default where supported)
+      publishes each batch into a shared-memory segment
       (:mod:`repro.streaming.shm`) and ships only references, ``"pickle"``
-      ships the bytes through each task — bit-identical results either way.
-      When the backend cannot occupy more than one worker the map degrades
-      to the serial path (identical code, no payload round-trip).
-    * **streaming** — windows move through the prefetch queue in batches of
-      *batch_windows* (default :data:`STREAM_BATCH_WINDOWS`), cutting
-      per-window queue synchronisation; at most ``(prefetch + 1) × batch``
-      windows are buffered.
-    * **serial / custom** — the plain in-order map, no batching overhead.
+      ships the bytes through each task — bit-identical results either
+      way.  With a single worker, or a stream of at most one window, the
+      map stays in-process (identical code, no payload round-trip).
+    * **serial / streaming / custom** — the plain in-order map, one window
+      at a time.
 
     Every strategy yields results in window order, so the downstream fold —
     and therefore the pooled output — is bit-identical across all of them.
-    In sketch mode (``mode="sketch"``) the same dispatch applies with the
-    sketch-tier per-window analysis; sketched results are likewise
-    bit-identical among themselves across backends and batch sizes.
+    In sketch mode (``mode="sketch"``) the sketch-tier per-window analysis
+    is used instead; sketched results are likewise bit-identical among
+    themselves across backends and batch sizes.
     """
     sketch_config = _resolve_sketch_config(mode, sketch)
-    if batch_windows is not None:
-        batch_windows = check_positive_int(batch_windows, "batch_windows")
+    batch = BATCH_WINDOWS if batch_windows is None else check_positive_int(batch_windows, "batch_windows")
     if sketch_config is not None:
         window_task = functools.partial(analyze_window_sketch, config=sketch_config)
     else:
         window_task = analyze_window
     if isinstance(backend_impl, ProcessBackend):
-        if backend_impl.n_workers <= 1:
-            # nothing to parallelise: stay lazy and in-process, identical to
-            # the serial backend (no payload packing, one window at a time)
-            _logger.debug("process backend has a single worker; analysing in-process")
-            for window in windows:
-                yield window_task(window), None
-            return
-        # pack each window as it streams past — one window alive at a time,
-        # so peak memory is the column payloads, never payloads + records;
-        # the packing (contiguous column extraction) is the same work the
-        # kernel's valid_columns would do, so nothing is paid twice
-        payloads = [_kernel.window_payload(w) for w in windows]
-        n = len(payloads)
-        if backend_impl.downgraded(n):  # n <= 1: cannot occupy a second worker
-            _logger.debug("process backend cannot parallelise %d window(s); analysing in-process", n)
-            for payload in payloads:
-                if sketch_config is not None:
-                    yield _sketch_payload_result(payload, sketch_config), None
-                else:
-                    aggregates, histograms = _kernel.payload_products(payload)
-                    yield WindowResult(aggregates=aggregates, histograms=histograms), None
-            return
-        batch = batch_windows or default_batch_windows(n, backend_impl.n_workers)
-        # an oversized explicit batch must not starve the pool below one
-        # task per worker
-        batch = min(batch, max(1, -(-n // backend_impl.n_workers)))
-        transport = backend_impl.payload_transport
-        if transport == "shm":
-            # zero-copy path: columns go into one named shared-memory
-            # segment; tasks carry only (segment, offset, dtype) references
-            # and workers analyse views of the shared pages.  The segment is
-            # closed and unlinked the moment the fold completes (or fails).
-            published = _shm.publish_payloads(payloads)
-            del payloads  # the segment holds the bytes now; drop the heap copy
-            batches = list(iter_batches(published.refs, batch))
-            _logger.debug(
-                "process backend: %d windows -> %d batched tasks of <= %d windows "
-                "(shm transport, segment %s, %d bytes)",
-                n, len(batches), batch, published.segment, published.nbytes,
-            )
-            if sketch_config is not None:
-                task = functools.partial(
-                    _analyze_ref_batch_sketch,
-                    quantities=tuple(quantities),
-                    config=sketch_config,
-                )
-            else:
-                task = functools.partial(_analyze_ref_batch, quantities=tuple(quantities))
-            with published:
-                for pair_batch in backend_impl.map(task, batches):
-                    yield from pair_batch
-            return
-        batches = list(iter_batches(payloads, batch))
-        _logger.debug(
-            "process backend: %d windows -> %d batched tasks of <= %d windows (pickle transport)",
-            n, len(batches), batch,
-        )
-        if sketch_config is not None:
-            task = functools.partial(
-                _analyze_payload_batch_sketch,
-                quantities=tuple(quantities),
-                config=sketch_config,
-            )
-        else:
-            task = functools.partial(_analyze_payload_batch, quantities=tuple(quantities))
-        for pair_batch in backend_impl.map(task, batches):
-            yield from pair_batch
-        return
-    if isinstance(backend_impl, StreamingBackend):
-        batch = batch_windows or STREAM_BATCH_WINDOWS
-        _logger.debug("streaming backend: prefetching window batches of %d", batch)
-        if sketch_config is not None:
-            batch_task = functools.partial(_analyze_window_batch_sketch, config=sketch_config)
-        else:
-            batch_task = _analyze_window_batch
-        for result_batch in backend_impl.map(batch_task, iter_batches(windows, batch)):
-            for result in result_batch:
-                yield result, None
+        yield from _process_results(backend_impl, iter(windows), window_task, batch, quantities, sketch_config)
         return
     for result in backend_impl.map(window_task, windows):
         yield result, None
@@ -904,15 +779,18 @@ def fold_windows(
     # the folded numbers are bit-identical regardless of this choice
     share_pooling = bool(consumers) or not isinstance(folder, StreamAnalyzer)
     n_folded = 0
-    for result, pooled in pairs:
-        if pooled is None and share_pooling:
-            pooled = {
-                q: pool_differential_cumulative(result.histograms[q]) for q in quantities
-            }
-        folder.update(result, pooled=pooled)
-        for consumer in consumers:
-            consumer.update(result, pooled=pooled)
-        n_folded += 1
+    # closing releases the map's resources (shared-memory segments, the pool
+    # claim) as soon as the fold ends, even when a consumer raised
+    with contextlib.closing(pairs):
+        for result, pooled in pairs:
+            if pooled is None and share_pooling:
+                pooled = {
+                    q: pool_differential_cumulative(result.histograms[q]) for q in quantities
+                }
+            folder.update(result, pooled=pooled)
+            for consumer in consumers:
+                consumer.update(result, pooled=pooled)
+            n_folded += 1
     return n_folded
 
 
@@ -938,11 +816,16 @@ def analyze_windows(
         backend_impl, windows, analyzer, batch_windows=batch_windows,
         mode=mode, sketch=analyzer.sketch_config,
     )
-    return analyzer.result(stats=_engine_stats(backend_impl))
+    return analyzer.result(stats=backend_stats(backend_impl))
 
 
-def _engine_stats(backend_impl: ExecutionBackend) -> dict:
-    """Base ``engine_stats`` of one run: backend name plus its transport."""
+def backend_stats(backend_impl: ExecutionBackend) -> dict:
+    """Base ``engine_stats`` of one run: backend name plus its transport.
+
+    The one rule every engine entry point (:func:`analyze_trace`,
+    :func:`analyze_windows`, :func:`repro.scenarios.run.analyze_scenario`)
+    starts its stats from, so their keys cannot drift apart.
+    """
     stats: dict[str, object] = {"backend": backend_impl.name}
     if isinstance(backend_impl, ProcessBackend):
         stats["payload_transport"] = backend_impl.payload_transport
@@ -984,24 +867,23 @@ def analyze_trace(
         ``backend="process"``; an explicit value is honoured exactly.
     max_windows:
         Optionally cap the number of windows analysed (useful for quick
-        looks at very long traces).
+        looks at very long traces); a positive integer when given.
     backend:
         Execution backend: ``"serial"``, ``"process"``, ``"streaming"``, an
         :class:`~repro.streaming.parallel.ExecutionBackend` instance, or
         ``None`` to derive serial/process from *n_workers* as before.  All
         backends produce bit-identical pooled distributions.
     chunk_packets:
-        Read/cut the trace in chunks of this many packets.  With the
-        streaming backend this bounds peak memory by the chunk size (plus
-        one window) instead of the trace length.
+        Read/cut the trace in chunks of this many packets.  For a stored
+        trace or a chunk stream this bounds the windower's buffer by the
+        chunk size (plus one window) instead of the trace length.
     keep_windows:
         Retain per-window :class:`WindowResult`\\ s on the returned analysis.
         Defaults to ``True`` except under the streaming backend, whose point
         is not to.
     batch_windows:
-        Windows moved per backend task / prefetch slot; ``None`` picks a
-        per-backend default (:func:`default_batch_windows` for the process
-        backend, :data:`STREAM_BATCH_WINDOWS` for streaming).  Batching
+        Windows per process-backend task; ``None`` means
+        :data:`BATCH_WINDOWS`.  Ignored by in-process backends.  Batching
         never changes results — only how they move.
     mode:
         Per-window analysis tier: ``"exact"`` (the fused kernel, default)
@@ -1033,6 +915,8 @@ def analyze_trace(
     WindowedAnalysis
     """
     n_valid = check_positive_int(n_valid, "n_valid")
+    if max_windows is not None:
+        max_windows = check_positive_int(max_windows, "max_windows")
     backend_impl = get_backend(backend, n_workers=n_workers, payload_transport=payload_transport)
     if keep_windows is None:
         keep_windows = backend_impl.name != "streaming"
@@ -1060,7 +944,7 @@ def analyze_trace(
             f"got {type(trace).__name__}"
         )
     if max_windows is not None:
-        windows = itertools.islice(windows, int(max_windows))
+        windows = itertools.islice(windows, max_windows)
 
     _logger.debug("analysing windows of %d valid packets via %s backend", n_valid, backend_impl.name)
     analyzer = StreamAnalyzer(
@@ -1070,7 +954,7 @@ def analyze_trace(
         backend_impl, windows, analyzer, batch_windows=batch_windows,
         mode=mode, sketch=analyzer.sketch_config,
     )
-    stats = _engine_stats(backend_impl)
+    stats = backend_stats(backend_impl)
     if windower is not None:
         # read after the fold so the high-water mark covers the whole pass
         stats["max_buffered_packets"] = windower.max_buffered_packets

@@ -6,9 +6,9 @@ copy of the analysed bytes through a pipe per map — the dominant transfer
 cost once windows hold millions of packets.  This module moves the bytes
 through ``multiprocessing.shared_memory`` instead:
 
-* the **parent** concatenates the payload columns of *all* windows of one
-  map into a single named shared-memory segment
-  (:func:`publish_payloads`), once;
+* the **parent** concatenates the payload columns of one batch of windows
+  into a single named shared-memory segment (:func:`publish_payloads`),
+  once per batch;
 * each pool task then carries only :class:`ShmWindowRef` records — segment
   name, per-column offsets, lengths, and dtypes; a few hundred bytes per
   window regardless of window size;
@@ -22,14 +22,15 @@ The views are the same bytes the pickle transport would have shipped, so
 the analysis products are bit-identical between the two transports
 (pinned by ``tests/test_streaming_shm.py``).
 
-Segment lifecycle is deterministic: the creator closes **and unlinks** the
-segment as soon as the map's fold completes (or fails), mirroring how the
-result store prunes its orphaned temp files.  A process killed hard
+Segment lifecycle is deterministic: the creator closes **and unlinks** a
+batch's segment as soon as that batch is folded (or the fold fails or is
+abandoned), mirroring how the result store prunes its orphaned temp
+files.  A process killed hard
 (SIGKILL of a whole fleet worker, OOM) can still leak a segment past its
 own ``resource_tracker``; every :func:`publish_payloads` call therefore
 begins by reaping segments whose creator pid is no longer alive
 (:func:`reap_orphaned_segments`) — leaks survive at most until the next
-map on the machine.
+publish on the machine.
 """
 
 from __future__ import annotations

@@ -42,8 +42,8 @@ def iter_batches(items: Iterable[_T], batch_size: int) -> Iterator[Tuple[_T, ...
 
     Order-preserving and lazy — one batch is materialized at a time, so
     batching a window stream keeps its bounded-memory property.  The
-    execution backends use this to move whole window batches through one
-    queue slot / worker task instead of paying per-window overhead.
+    process backend's engine path uses this to move whole window batches
+    through one worker task instead of paying per-window overhead.
     """
     batch_size = check_positive_int(batch_size, "batch_size")
     batch: list = []

@@ -22,7 +22,6 @@ from repro.streaming.parallel import (
     ProcessBackend,
     SerialBackend,
     StreamingBackend,
-    default_chunksize,
     default_worker_count,
     get_backend,
     map_windows,
@@ -31,12 +30,12 @@ from repro.streaming.parallel import (
     usable_cpu_count,
 )
 from repro.streaming.pipeline import (
+    BATCH_WINDOWS,
     StreamAnalyzer,
     iter_window_results,
     analyze_trace,
     analyze_window,
     analyze_windows,
-    default_batch_windows,
 )
 from repro.streaming.trace_io import (
     ANALYSIS_COLUMNS,
@@ -319,20 +318,21 @@ class TestBackends:
                 live.append(i)
                 yield i
 
-        backend = StreamingBackend(prefetch=2)
-        max_ahead = 0
-        for i, result in enumerate(backend.map(lambda x: x, producer())):
+        backend = StreamingBackend()
+        assert isinstance(backend, SerialBackend) and backend.name == "streaming"
+        results = backend.map(lambda x: x, producer())
+        assert live == []  # lazy: nothing is read before the first next()
+        for i, result in enumerate(results):
             assert result == i
-            max_ahead = max(max_ahead, len(live) - (i + 1))
-        # producer can only run prefetch + 1 items ahead of the consumer
-        assert max_ahead <= 3
+            # the input is never read ahead of the consumer
+            assert len(live) == i + 1
 
     def test_streaming_backend_propagates_producer_error(self):
         def producer():
             yield 1
             raise RuntimeError("disk on fire")
 
-        results = StreamingBackend(prefetch=1).map(lambda x: x, producer())
+        results = StreamingBackend().map(lambda x: x, producer())
         assert next(results) == 1
         with pytest.raises(RuntimeError, match="disk on fire"):
             next(results)
@@ -347,7 +347,7 @@ class TestBackends:
         def boom(x):
             raise ValueError("analysis failed")
 
-        results = StreamingBackend(prefetch=2).map(boom, iter(range(100)))
+        results = StreamingBackend().map(boom, iter(range(100)))
         with pytest.raises(ValueError, match="analysis failed"):
             next(results)
         deadline = time.time() + 5.0
@@ -356,8 +356,9 @@ class TestBackends:
         assert not self._prefetch_threads()
 
     def test_streaming_backend_no_thread_leak_on_abandoned_iterator(self):
-        results = StreamingBackend(prefetch=2).map(lambda x: x, iter(range(100)))
+        results = StreamingBackend().map(lambda x: x, iter(range(100)))
         assert next(results) == 0
+        assert not self._prefetch_threads()
         results.close()  # abandon mid-stream (what GC does to a dropped iterator)
         deadline = time.time() + 5.0
         while self._prefetch_threads() and time.time() < deadline:
@@ -377,32 +378,30 @@ class TestBackends:
         assert len(results) == 1
         assert any("downgrading to serial" in message for message in caplog.messages)
 
-    def test_streaming_backend_logs_blocked_producer_and_dropped_error(self, caplog, monkeypatch):
-        """Regression: an abandoned map used to pretend its producer joined
-        (silent 5s deadline) and to drop a late producer error on the floor."""
-        import repro.streaming.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "_PRODUCER_JOIN_TIMEOUT", 0.2)
+    def test_streaming_backend_logs_blocked_producer_and_dropped_error(self):
+        """The alias reads its input in the consumer's own thread: a blocked
+        input blocks ``next()`` — no thread is left pinned behind the map —
+        and the input's late error surfaces there instead of being dropped."""
         release = threading.Event()
+        threads_while_blocked = []
 
         def producer():
             yield 0
+            threads_while_blocked.extend(self._prefetch_threads())
             release.wait(30)  # the "input iterator blocked in I/O" case
             raise RuntimeError("late disk failure")
 
-        results = StreamingBackend(prefetch=1).map(lambda x: x, producer())
+        results = StreamingBackend().map(lambda x: x, producer())
         assert next(results) == 0
-        with caplog.at_level(logging.WARNING, logger="repro.streaming.parallel"):
-            results.close()  # abandon the map while the producer is pinned
-            assert any("still alive" in message for message in caplog.messages)
-            release.set()  # the blocked read returns and the producer raises
-            deadline = time.time() + 5.0
-            while self._prefetch_threads() and time.time() < deadline:
-                time.sleep(0.01)
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        try:
+            with pytest.raises(RuntimeError, match="late disk failure"):
+                next(results)
+        finally:
+            timer.cancel()
+        assert threads_while_blocked == []
         assert not self._prefetch_threads()
-        assert any(
-            "dropped after the consumer abandoned" in message for message in caplog.messages
-        )
 
     def test_payload_transport_validation(self):
         from repro.streaming.shm import TRANSPORT_NAMES
@@ -418,12 +417,6 @@ class TestBackends:
             get_backend(SerialBackend(), payload_transport="shm")
         with pytest.raises(ValueError, match="unknown payload_transport"):
             ProcessBackend(2, payload_transport="carrier-pigeon")
-
-    def test_default_chunksize_heuristic(self):
-        assert default_chunksize(100, 4) == 100 // 16
-        assert default_chunksize(3, 4) == 1
-        with pytest.raises(ValueError):
-            default_chunksize(10, 0)
 
     def test_map_windows_uses_heuristic_chunksize(self, small_trace):
         windows = list(iter_windows(small_trace, 20_000))
@@ -547,6 +540,17 @@ class TestStreamingAnalyzeTrace:
             small_trace, 10_000, backend="streaming", chunk_packets=8_000, max_windows=3
         )
         assert analysis.n_windows == 3
+
+    @pytest.mark.parametrize("max_windows,error", [
+        (-1, ValueError),
+        (0, ValueError),
+        (1.5, TypeError),
+        (True, TypeError),
+        ("2", TypeError),
+    ])
+    def test_max_windows_validated(self, small_trace, max_windows, error):
+        with pytest.raises(error, match="max_windows"):
+            analyze_trace(small_trace, 20_000, max_windows=max_windows)
 
     def test_invalid_trace_type_rejected(self):
         with pytest.raises(TypeError):
@@ -682,13 +686,6 @@ class TestWindowBatching:
         with pytest.raises(ValueError):
             list(iter_batches([1], 0))
 
-    def test_default_batch_windows_targets_four_tasks_per_worker(self):
-        assert default_batch_windows(32, 4) == 2      # -> 16 tasks
-        assert default_batch_windows(3, 8) == 1       # small workloads: no batching
-        assert default_batch_windows(100_000, 4) == 64  # capped payloads
-        with pytest.raises(ValueError):
-            default_batch_windows(0, 4)
-
     @pytest.mark.parametrize("backend,kwargs", [
         ("serial", {}),
         ("process", {"n_workers": 2}),
@@ -753,13 +750,33 @@ class TestWindowBatching:
             assert result.aggregates == expected.aggregates
 
     def test_oversized_batch_capped_to_keep_workers_occupied(self, small_trace, serial_analysis):
-        # an explicit batch_windows larger than the workload must not collapse
-        # the map to a single task (which would downgrade the pool to serial)
+        # an explicit batch_windows larger than the workload packs every
+        # window into one task, which the map runs in-process; the results
+        # must not change
         analysis = analyze_trace(
             small_trace, 20_000, backend="process", n_workers=2,
             batch_windows=10_000, keep_windows=False,
         )
         assert analysis == serial_analysis
+
+    def test_process_fold_reads_a_bounded_distance_ahead(self, small_trace):
+        windows = list(iter_windows(small_trace, 1_000))
+        produced = 0
+
+        def producer():
+            nonlocal produced
+            for window in windows:
+                produced += 1
+                yield window
+
+        workers = 2
+        max_ahead = folded = 0
+        pairs = iter_window_results(ProcessBackend(workers), producer())
+        for folded, ((result, _), expected) in enumerate(zip(pairs, windows), start=1):
+            assert result.aggregates == analyze_window(expected).aggregates
+            max_ahead = max(max_ahead, produced - folded)
+        assert folded == len(windows) > 4 * (2 * workers + 1) * BATCH_WINDOWS
+        assert max_ahead <= (2 * workers + 1) * BATCH_WINDOWS
 
     def test_effective_workers(self):
         backend = ProcessBackend(4)

@@ -32,7 +32,7 @@ from repro.streaming.kernel import (
 )
 from repro.streaming.packet import PacketTrace
 from repro.streaming.pipeline import (
-    _analyze_payload_batch,
+    _analyze_batch,
     analyze_window,
     analyze_window_image,
 )
@@ -96,7 +96,7 @@ class TestKernelEquivalence:
     @settings(max_examples=100)
     def test_payload_roundtrip_matches_direct_analysis(self, window):
         payload = window_payload(window)
-        (pairs,) = [_analyze_payload_batch((payload,))]
+        (pairs,) = [_analyze_batch((payload,))]
         result, pooled = pairs[0]
         direct = analyze_window(window)
         assert_products_equal(result, direct)

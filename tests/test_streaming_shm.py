@@ -29,7 +29,7 @@ import repro.streaming.shm as shm_mod
 from repro.streaming.kernel import window_payload
 from repro.streaming.packet import PACKET_DTYPE, PacketTrace
 from repro.streaming.parallel import ProcessBackend, shutdown_shared_pools
-from repro.streaming.pipeline import analyze_trace
+from repro.streaming.pipeline import StreamAnalyzer, analyze_trace, fold_windows, iter_window_results
 from repro.streaming.trace_io import (
     LAYOUT_NAMES,
     iter_trace_chunks,
@@ -175,6 +175,45 @@ class TestTransportEquivalence:
     def test_no_segments_survive_the_fold(self, trace):
         analyze_trace(trace, 4_000, backend=ProcessBackend(2, payload_transport="shm"))
         assert _repro_segments() == []
+        shutdown_shared_pools()
+
+
+def _own_segments() -> list[str]:
+    """Live segments created by this process."""
+    prefix = f"{shm_mod.SEGMENT_PREFIX}_{os.getpid()}_"
+    return [name for name in _repro_segments() if name.startswith(prefix)]
+
+
+class _FailingFolder(StreamAnalyzer):
+    def update(self, result, *, pooled=None):
+        raise RuntimeError("folder failed")
+
+
+class TestSegmentLifecycle:
+    """Each batch's segment dies with the fold, however the fold ends."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return _mixed_trace()
+
+    def test_no_segment_survives_an_abandoned_fold(self, trace):
+        pairs = iter_window_results(
+            ProcessBackend(2, payload_transport="shm"), iter_windows(trace, 1_000)
+        )
+        next(pairs)
+        assert _own_segments()  # batches in flight are published
+        pairs.close()
+        assert _own_segments() == []
+        shutdown_shared_pools()
+
+    def test_no_segment_survives_a_failing_folder(self, trace):
+        with pytest.raises(RuntimeError, match="folder failed"):
+            fold_windows(
+                ProcessBackend(2, payload_transport="shm"),
+                iter_windows(trace, 1_000),
+                _FailingFolder(1_000),
+            )
+        assert _own_segments() == []
         shutdown_shared_pools()
 
 
