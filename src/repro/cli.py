@@ -66,15 +66,53 @@ from repro.streaming.trace_io import (
 __all__ = ["build_parser", "main"]
 
 
-def _add_transport_argument(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--payload-transport`` knob of the process backend."""
+def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the window-engine flags shared by every command that runs it.
+
+    ``analyze``, ``scenarios run`` and ``detect run`` all take these; read
+    them back with :func:`_engine_kwargs`.
+    """
     from repro.streaming.shm import TRANSPORT_NAMES
 
+    parser.add_argument("--backend", choices=list(BACKEND_NAMES), default=None,
+                        help="execution backend (default: serial, or process when "
+                             "--workers > 1); results are identical on every backend, "
+                             "'streaming' keeps no per-window results")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes for the window map "
+                             "(default: 1, or auto with --backend process)")
+    parser.add_argument("--chunk-packets", type=int, default=None,
+                        help="read or emit the trace in chunks of this many packets "
+                             "(bounds the packets buffered at once)")
     parser.add_argument("--payload-transport", choices=list(TRANSPORT_NAMES), default=None,
                         help="how the process backend ships window columns to workers: "
-                             "'shm' (shared-memory segments, zero-copy — the default "
-                             "where supported) or 'pickle' (bytes through each task); "
-                             "results are bit-identical either way")
+                             "'shm' (shared-memory segments) or 'pickle' (bytes through "
+                             "each task); results are bit-identical either way")
+    parser.add_argument("--mode", choices=list(MODE_NAMES), default="exact",
+                        help="per-window analysis tier: 'exact' (fused kernel) or 'sketch' "
+                             "(Count-Min/HyperLogLog estimates in sub-linear memory, with "
+                             "error bounds)")
+    _add_sketch_arguments(parser)
+
+
+def _engine_kwargs(args: argparse.Namespace) -> dict:
+    """Engine keyword arguments named by the :func:`_add_engine_arguments` flags.
+
+    Raises ``ValueError`` for a flag combination the engine cannot honour.
+    """
+    sketch = _sketch_from_args(args)
+    if args.mode != "sketch" and sketch is not None:
+        raise ValueError("--sketch-* options require --mode sketch")
+    if args.backend == "streaming" and args.payload_transport is not None:
+        raise ValueError("--payload-transport applies to the process backend only")
+    return {
+        "backend": args.backend,
+        "n_workers": args.workers,
+        "chunk_packets": args.chunk_packets,
+        "mode": args.mode,
+        "sketch": sketch,
+        "payload_transport": args.payload_transport,
+    }
 
 
 def _add_sketch_arguments(parser: argparse.ArgumentParser) -> None:
@@ -157,29 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--nv", type=int, default=100_000, help="window size N_V in valid packets")
     ana.add_argument("--quantities", nargs="+", default=list(QUANTITY_NAMES),
                      choices=list(QUANTITY_NAMES), help="which Figure-1 quantities to analyse")
-    ana.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the window map "
-                          "(default: 1, or auto with --backend process)")
-    ana.add_argument("--backend", choices=list(BACKEND_NAMES), default=None,
-                     help="execution backend (default: serial, or process when --workers > 1); "
-                          "every backend reads the trace chunk by chunk, 'streaming' also "
-                          "keeps no per-window results")
-    ana.add_argument("--chunk-packets", type=int, default=None,
-                     help="read/cut the trace in chunks of this many packets "
-                          "(bounds the packets buffered at once)")
-    ana.add_argument("--batch-windows", type=int, default=None,
-                     help="windows per process-backend task "
-                          "(default: 4; an execution knob — never changes results)")
-    _add_transport_argument(ana)
+    _add_engine_arguments(ana)
     ana.add_argument("--mmap", action="store_true",
                      help="memory-map npy-layout shards instead of loading them "
                           "(see 'generate --layout npy'); other formats fall back "
                           "to the eager read")
-    ana.add_argument("--mode", choices=list(MODE_NAMES), default="exact",
-                     help="per-window analysis tier: 'exact' (fused kernel) or 'sketch' "
-                          "(Count-Min/HyperLogLog estimates in sub-linear memory, with "
-                          "printed error bounds)")
-    _add_sketch_arguments(ana)
     ana.add_argument("--panel", action="store_true",
                      help="also render a text panel of each pooled distribution")
     ana.set_defaults(func=_cmd_analyze)
@@ -224,21 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen_run.add_argument("--seed", type=int, default=0, help="scenario seed")
     scen_run.add_argument("--quantities", nargs="+", default=list(QUANTITY_NAMES),
                           choices=list(QUANTITY_NAMES), help="which Figure-1 quantities to analyse")
-    scen_run.add_argument("--backend", choices=list(BACKEND_NAMES), default=None,
-                          help="execution backend (default: serial); 'streaming' keeps peak "
-                               "buffering bounded by --chunk-packets")
-    scen_run.add_argument("--workers", type=int, default=None,
-                          help="worker processes for the window map (process backend)")
-    _add_transport_argument(scen_run)
-    scen_run.add_argument("--batch-windows", type=int, default=None,
-                          help="windows per process-backend task (default: 4)")
-    scen_run.add_argument("--chunk-packets", type=int, default=None,
-                          help="emit the scenario trace in chunks of this many packets "
-                               "(bounds memory under --backend streaming)")
-    scen_run.add_argument("--mode", choices=list(MODE_NAMES), default="exact",
-                          help="per-window analysis tier: 'exact' (fused kernel) or "
-                               "'sketch' (Count-Min/HyperLogLog estimates)")
-    _add_sketch_arguments(scen_run)
+    _add_engine_arguments(scen_run)
     scen_run.set_defaults(func=_cmd_scenarios_run)
 
     det = subparsers.add_parser(
@@ -266,21 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     det_run.add_argument("--max-latency", type=int, default=8,
                          help="windows after a true boundary within which an alarm "
                               "counts as detecting it")
-    det_run.add_argument("--backend", choices=list(BACKEND_NAMES), default=None,
-                         help="execution backend (alarm sequences are identical on all)")
-    det_run.add_argument("--workers", type=int, default=None,
-                         help="worker processes for the window map (process backend)")
-    det_run.add_argument("--chunk-packets", type=int, default=None,
-                         help="emit the scenario trace in chunks of this many packets "
-                              "(bounds memory under --backend streaming)")
-    _add_transport_argument(det_run)
-    det_run.add_argument("--batch-windows", type=int, default=None,
-                         help="windows per process-backend task "
-                              "(default: 4; an execution knob — never changes alarms)")
-    det_run.add_argument("--mode", choices=list(MODE_NAMES), default="exact",
-                         help="per-window analysis tier: 'exact' (fused kernel) or "
-                              "'sketch' (detectors monitor the sketched histograms)")
-    _add_sketch_arguments(det_run)
+    _add_engine_arguments(det_run)
     det_run.set_defaults(func=_cmd_detect_run)
 
     camp = subparsers.add_parser(
@@ -486,38 +478,26 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    sketch = _sketch_from_args(args)
-    if args.mode != "sketch" and sketch is not None:
-        print("error: --sketch-* options require --mode sketch")
+    try:
+        engine = _engine_kwargs(args)
+        if args.backend == "streaming":
+            if args.workers is not None:
+                print("note: --workers is ignored by the streaming backend (single-threaded fold)")
+            if Path(args.trace).exists() and trace_format(args.trace) == 1:
+                print("note: v1 .npz archives load whole before chunking; generate with "
+                      "--shard-packets for true out-of-core reads")
+            print(f"streaming trace from {args.trace}")
+        elif args.mmap:
+            print(f"mapping trace shards from {args.trace}")
+        else:
+            print(f"reading trace from {args.trace}")
+        # the engine reads the stored trace itself, chunk by chunk, on every backend
+        analysis = analyze_trace(
+            args.trace, args.nv, quantities=tuple(args.quantities), mmap=args.mmap, **engine
+        )
+    except ValueError as error:
+        print(f"error: {error}")
         return 2
-    if args.backend == "streaming":
-        if args.workers is not None:
-            print("note: --workers is ignored by the streaming backend (single-threaded fold)")
-        if args.payload_transport is not None:
-            print("error: --payload-transport applies to the process backend only")
-            return 2
-        if Path(args.trace).exists() and trace_format(args.trace) == 1:
-            print("note: v1 .npz archives load whole before chunking; generate with "
-                  "--shard-packets for true out-of-core reads")
-        print(f"streaming trace from {args.trace}")
-    elif args.mmap:
-        print(f"mapping trace shards from {args.trace}")
-    else:
-        print(f"reading trace from {args.trace}")
-    # the engine reads the stored trace itself, chunk by chunk, on every backend
-    analysis = analyze_trace(
-        args.trace,
-        args.nv,
-        quantities=tuple(args.quantities),
-        n_workers=args.workers,
-        backend=args.backend,
-        chunk_packets=args.chunk_packets,
-        batch_windows=args.batch_windows,
-        mode=args.mode,
-        sketch=sketch,
-        payload_transport=args.payload_transport,
-        mmap=args.mmap,
-    )
     stats = analysis.engine_stats
     if stats["backend"] == "streaming":
         print(f"engine: backend={stats['backend']} chunks={stats.get('n_chunks')} "
@@ -651,37 +631,37 @@ def _cmd_scenarios_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenarios_run(args: argparse.Namespace) -> int:
+def _run_scenario(args: argparse.Namespace, **analysis_kwargs):
+    """The shared body of ``scenarios run`` and ``detect run``.
+
+    Looks the scenario up, prints its header, runs it through the engine
+    with the shared engine flags plus *analysis_kwargs*, and prints the
+    engine banner.  Raises ``ValueError`` with a one-line message on a bad
+    invocation.
+    """
     from repro.scenarios import analyze_scenario, get_scenario
 
-    sketch = _sketch_from_args(args)
-    if args.mode != "sketch" and sketch is not None:
-        print("error: --sketch-* options require --mode sketch")
-        return 2
+    engine = _engine_kwargs(args)
     try:
         scenario = get_scenario(args.name)
     except KeyError as error:
-        print(f"error: {error.args[0]}")
-        return 2
+        raise ValueError(error.args[0]) from None
     print(f"scenario {scenario.name!r}: {scenario.n_phases} phases, "
           f"{scenario.n_packets} packets, crossfade {scenario.crossfade_packets}")
-    run = analyze_scenario(
-        scenario,
-        args.nv,
-        seed=args.seed,
-        quantities=tuple(args.quantities),
-        backend=args.backend,
-        n_workers=args.workers,
-        chunk_packets=args.chunk_packets,
-        batch_windows=args.batch_windows,
-        mode=args.mode,
-        sketch=sketch,
-        payload_transport=args.payload_transport,
-    )
+    run = analyze_scenario(scenario, args.nv, seed=args.seed, **engine, **analysis_kwargs)
     stats = run.engine_stats
     print(f"engine: backend={stats['backend']} chunks={stats.get('n_chunks')} "
           f"peak buffered packets={stats.get('max_buffered_packets')}"
           + (f" transport={stats['payload_transport']}" if "payload_transport" in stats else ""))
+    return run
+
+
+def _cmd_scenarios_run(args: argparse.Namespace) -> int:
+    try:
+        run = _run_scenario(args, quantities=tuple(args.quantities))
+    except ValueError as error:
+        print(f"error: {error}")
+        return 2
     print(f"{run.analysis.n_windows} windows of N_V = {args.nv} valid packets")
     for quantity in args.quantities:
         print(f"\nphase summary — {quantity}:")
@@ -717,42 +697,21 @@ def _cmd_detect_list(args: argparse.Namespace) -> int:
 def _cmd_detect_run(args: argparse.Namespace) -> int:
     from repro.detect import evaluate_run
     from repro.detect.evaluate import true_change_windows
-    from repro.scenarios import analyze_scenario, get_scenario
 
-    sketch = _sketch_from_args(args)
-    if args.mode != "sketch" and sketch is not None:
-        print("error: --sketch-* options require --mode sketch")
-        return 2
     if args.max_latency < 0:
         print(f"error: --max-latency must be >= 0, got {args.max_latency}")
         return 2
     try:
-        scenario = get_scenario(args.name)
-    except KeyError as error:
-        print(f"error: {error.args[0]}")
+        run = _run_scenario(
+            args,
+            # argparse choices allow repeats; asking for a detector twice just
+            # means "this one", so dedupe rather than error
+            detectors=tuple(dict.fromkeys(args.detectors)),
+            detect_quantity=args.quantity,
+        )
+    except ValueError as error:
+        print(f"error: {error}")
         return 2
-    print(f"scenario {scenario.name!r}: {scenario.n_phases} phases, "
-          f"{scenario.n_packets} packets, crossfade {scenario.crossfade_packets}")
-    run = analyze_scenario(
-        scenario,
-        args.nv,
-        seed=args.seed,
-        backend=args.backend,
-        n_workers=args.workers,
-        chunk_packets=args.chunk_packets,
-        batch_windows=args.batch_windows,
-        # argparse choices allow repeats; asking for a detector twice just
-        # means "this one", so dedupe rather than error
-        detectors=tuple(dict.fromkeys(args.detectors)),
-        detect_quantity=args.quantity,
-        mode=args.mode,
-        sketch=sketch,
-        payload_transport=args.payload_transport,
-    )
-    stats = run.engine_stats
-    print(f"engine: backend={stats['backend']} chunks={stats.get('n_chunks')} "
-          f"peak buffered packets={stats.get('max_buffered_packets')}"
-          + (f" transport={stats['payload_transport']}" if "payload_transport" in stats else ""))
     detection = run.detection
     boundaries = true_change_windows(run.phases.window_phase)
     print(f"{detection.n_windows} windows of N_V = {args.nv} valid packets; "

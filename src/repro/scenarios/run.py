@@ -77,7 +77,6 @@ def analyze_scenario(
     chunk_packets: int | None = None,
     block_packets: int = DEFAULT_BLOCK_PACKETS,
     keep_windows: bool | None = None,
-    batch_windows: int | None = None,
     detectors: Sequence[str] | None = None,
     detect_quantity: str | None = None,
     mode: str = "exact",
@@ -95,12 +94,10 @@ def analyze_scenario(
     seed:
         Scenario seed; the same seed reproduces the identical trace (and
         therefore identical analysis) on every backend and chunking.
-    quantities, backend, n_workers, chunk_packets, keep_windows, batch_windows:
+    quantities, backend, n_workers, chunk_packets, keep_windows:
         As in :func:`repro.streaming.pipeline.analyze_trace`.  Under
         ``backend="streaming"`` the default ``chunk_packets`` falls back to
-        ``block_packets`` so buffering is always bounded.  Window batching
-        (``batch_windows``) moves whole window batches per backend task —
-        purely an execution knob, never part of the result's identity.
+        ``block_packets`` so buffering is always bounded.
     block_packets:
         Internal generation block size (part of the trace's identity: the
         same scenario and seed with a different block size is a different —
@@ -168,7 +165,7 @@ def analyze_scenario(
     # every consumer): identical code to analyze_trace and the service daemon
     fold_windows(
         backend_impl, windower, folder, consumers=(segmenter,),
-        batch_windows=batch_windows, mode=mode, sketch=analyzer.sketch_config,
+        mode=mode, sketch=analyzer.sketch_config,
     )
     stats = {
         **backend_stats(backend_impl),

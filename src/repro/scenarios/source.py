@@ -24,12 +24,12 @@ the current block, the current phase's (edges, weights), and — while a
 cross-fade is in progress — the previous phase's, are alive at once.
 
 Downstream, :func:`repro.scenarios.run.analyze_scenario` windows this chunk
-stream and moves the windows through its execution backend in *batches*
-(``batch_windows``).  Batching — like ``chunk_packets`` — is pure execution
-plumbing: blocks, and therefore the emitted packets, are untouched by it,
-so every (backend, chunking, batching) combination replays the identical
-trace and the per-phase valid tally stays ahead of any window a consumer
-can observe.
+stream and maps the windows through its execution backend (the process
+backend ships them in fixed batches of
+:data:`repro.streaming.pipeline.BATCH_WINDOWS`).  Neither the backend nor
+``chunk_packets`` touches the blocks, and therefore the emitted packets, so
+every (backend, chunking) combination replays the identical trace and the
+per-phase valid tally stays ahead of any window a consumer can observe.
 """
 
 from __future__ import annotations

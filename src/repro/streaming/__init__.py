@@ -40,7 +40,6 @@ from repro.streaming.parallel import (
     StreamingBackend,
     default_worker_count,
     get_backend,
-    map_windows,
     shutdown_shared_pools,
     usable_cpu_count,
 )
@@ -52,7 +51,6 @@ from repro.streaming.pipeline import (
     analyze_window,
     analyze_window_image,
     analyze_window_sketch,
-    analyze_windows,
 )
 from repro.streaming.shm import (
     TRANSPORT_NAMES,
@@ -87,7 +85,7 @@ from repro.streaming.weighted import (
     byte_image,
     weighted_quantities,
 )
-from repro.streaming.window import ChunkedWindower, count_windows, iter_windows, iter_windows_chunked
+from repro.streaming.window import ChunkedWindower, count_windows, iter_windows
 
 __all__ = [
     "AggregateProperties",
@@ -103,7 +101,6 @@ __all__ = [
     "ProcessBackend",
     "StreamingBackend",
     "get_backend",
-    "map_windows",
     "MODE_NAMES",
     "StreamAnalyzer",
     "WindowedAnalysis",
@@ -111,7 +108,6 @@ __all__ = [
     "analyze_window",
     "analyze_window_image",
     "analyze_window_sketch",
-    "analyze_windows",
     "DEFAULT_SKETCH_CONFIG",
     "SketchBounds",
     "SketchConfig",
@@ -150,5 +146,4 @@ __all__ = [
     "ChunkedWindower",
     "count_windows",
     "iter_windows",
-    "iter_windows_chunked",
 ]

@@ -23,10 +23,9 @@ substrate can be swapped beneath a stable analysis API:
 
 All three yield results **in input order**, which is what lets the
 incremental consumer (:class:`repro.streaming.pipeline.StreamAnalyzer`) fold
-them into bit-identical pooled aggregates regardless of backend.
-
-The legacy entry point :func:`map_windows` is kept as a list-returning
-wrapper over the serial/process backends.
+them into bit-identical pooled aggregates regardless of backend.  Nothing
+here analyses windows itself: every analysis maps through a backend inside
+:func:`repro.streaming.pipeline.fold_windows`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import itertools
 import multiprocessing
 import os
 import threading
-from typing import Callable, Iterable, Iterator, List, Protocol, TypeVar, Union, runtime_checkable
+from typing import Callable, Iterable, Iterator, Protocol, TypeVar, Union, runtime_checkable
 
 from repro._util.logging import get_logger
 from repro._util.validation import check_positive_int
@@ -49,7 +48,6 @@ __all__ = [
     "StreamingBackend",
     "BACKEND_NAMES",
     "get_backend",
-    "map_windows",
     "usable_cpu_count",
     "default_worker_count",
     "shared_pool",
@@ -350,7 +348,11 @@ def get_backend(
     *payload_transport* selects how the process backend ships window
     columns (:data:`repro.streaming.shm.TRANSPORT_NAMES`); requesting it
     for a backend that ships no payloads is an error, not a silent no-op.
+    A given *n_workers* must be a positive integer whatever the backend,
+    even one that ignores it.
     """
+    if n_workers is not None:
+        n_workers = check_positive_int(n_workers, "n_workers")
     if backend is None:
         if n_workers is not None and n_workers > 1:
             return ProcessBackend(n_workers, payload_transport=payload_transport)
@@ -377,31 +379,3 @@ def get_backend(
         return backend
     raise TypeError(f"backend must be a name, ExecutionBackend, or None, got {type(backend).__name__}")
 
-
-def map_windows(
-    func: Callable[[_T], _R],
-    windows: Iterable[_T],
-    *,
-    n_workers: int = 1,
-) -> List[_R]:
-    """Apply *func* to every window, optionally across worker processes.
-
-    Parameters
-    ----------
-    func:
-        Analysis callable taking one window.  For multi-process execution it
-        must be picklable (a module-level function or
-        :func:`functools.partial` thereof).
-    windows:
-        Iterable of windows (e.g. :func:`repro.streaming.window.iter_windows`).
-    n_workers:
-        Number of worker processes; ``<= 1`` runs serially in-process.
-
-    Returns
-    -------
-    list
-        One result per window, in window order.
-    """
-    if n_workers <= 1:
-        return [func(w) for w in windows]
-    return list(ProcessBackend(n_workers).map(func, windows))

@@ -12,10 +12,10 @@ pooled aggregates (mean ``D(d_i)`` and ``σ(d_i)`` via
 histograms.  Because the fold happens in window order on every backend, the
 serial, process, and streaming backends produce bit-identical pooled
 distributions; because the fold state is O(bins) per quantity (plus a
-few-integer Table-I row per window, droppable via
-``StreamAnalyzer(keep_aggregates=False)``), every backend can analyse an
-on-disk trace far larger than memory
-(``analyze_trace(path, ..., chunk_packets=...)``).
+few-integer Table-I row per window), every backend can analyse an on-disk
+trace far larger than memory (``analyze_trace(path, ..., chunk_packets=...)``).
+:class:`StreamAnalyzer` is the only fold: a :class:`WindowedAnalysis` built
+by hand from window results folds them through it at construction.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "analyze_window",
     "analyze_window_image",
     "analyze_window_sketch",
-    "analyze_windows",
     "analyze_trace",
     "backend_stats",
     "fold_windows",
@@ -117,32 +116,13 @@ class WindowResult:
         return pool_differential_cumulative(self.histograms[quantity])
 
 
-def _fold_pooled(per_window: Iterable[PooledDistribution]) -> PooledDistribution:
-    """Fold per-window pooled vectors into the cross-window mean/σ.
-
-    The one aggregation used everywhere — by :class:`StreamAnalyzer` during
-    the single pass and by :meth:`WindowedAnalysis.pooled` for directly
-    constructed instances — so the result is bit-identical regardless of how
-    the analysis was produced.
-    """
-    moments = StreamingMoments()
-    total = 0
-    for pooled in per_window:
-        moments.update(pooled.values)
-        total += pooled.total
-    edges = 2 ** np.arange(moments.n_bins, dtype=np.int64)
-    return PooledDistribution(
-        bin_edges=edges, values=moments.mean(), sigma=moments.std(ddof=0), total=total
-    )
-
-
 @dataclass(frozen=True)
 class _StreamState:
     """Products folded by :class:`StreamAnalyzer` during a single pass.
 
-    Carried by :class:`WindowedAnalysis` so pooled distributions, merged
-    histograms, and the aggregates table remain available even when the
-    per-window results themselves were not retained (bounded-memory runs).
+    Every :class:`WindowedAnalysis` reads its cross-window products from
+    one, so they are available even when the per-window results were not
+    retained (bounded-memory runs).
     """
 
     n_windows: int
@@ -159,6 +139,12 @@ class _StreamState:
 @dataclass(frozen=True, eq=False)
 class WindowedAnalysis:
     """Aggregated analysis of all windows of one trace.
+
+    The engine builds these through :meth:`StreamAnalyzer.result`.  One
+    built by hand, ``WindowedAnalysis(n_valid, windows, quantities)``,
+    folds its window results through a :class:`StreamAnalyzer` once at
+    construction, so it compares equal to the engine's analysis of the
+    same windows.
 
     Attributes
     ----------
@@ -179,10 +165,11 @@ class WindowedAnalysis:
     _stream: _StreamState | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        # per-instance memo for lazily computed cross-window products; a plain
-        # attribute (not a dataclass field) so it never leaks into equality,
-        # repr, or pickles — see __getstate__/__setstate__
-        object.__setattr__(self, "_memo", {})
+        if self._stream is None:
+            analyzer = StreamAnalyzer(self.n_valid, self.quantities)
+            for result in self.windows:
+                analyzer.update(result)
+            object.__setattr__(self, "_stream", analyzer._state(stats={}))
 
     def __eq__(self, other: object) -> bool:
         # field-wise dataclass equality would compare streamed analyses
@@ -218,19 +205,10 @@ class WindowedAnalysis:
         # coarse but consistent with __eq__ (equal analyses share these keys)
         return hash((self.n_valid, tuple(self.quantities), self.n_windows))
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_memo", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__["_memo"] = {}
-
     @property
     def n_windows(self) -> int:
         """Number of complete windows analysed."""
-        return self._stream.n_windows if self._stream is not None else len(self.windows)
+        return self._stream.n_windows
 
     @property
     def engine_stats(self) -> Mapping[str, object]:
@@ -241,19 +219,17 @@ class WindowedAnalysis:
         ``n_chunks``.  Empty for analyses built directly from window
         results.
         """
-        return dict(self._stream.stats) if self._stream is not None else {}
+        return dict(self._stream.stats)
 
     @property
     def mode(self) -> str:
         """Which per-window analysis produced this: ``"exact"`` or ``"sketch"``."""
-        if self._stream is not None:
-            return str(self._stream.stats.get("mode", "exact"))
-        return "exact"
+        return str(self._stream.stats.get("mode", "exact"))
 
     @property
     def sketch(self) -> WindowSketch | None:
         """The cross-window merged sketch (sketch-mode analyses only)."""
-        return self._stream.sketch if self._stream is not None else None
+        return self._stream.sketch
 
     @property
     def bounds(self) -> Mapping[str, SketchBounds] | None:
@@ -262,9 +238,7 @@ class WindowedAnalysis:
         Keyed by quantity name plus the Table-I aggregate names; ``None``
         on exact analyses, whose products carry no estimation error.
         """
-        if self._stream is not None and self._stream.bounds is not None:
-            return dict(self._stream.bounds)
-        return None
+        return dict(self._stream.bounds) if self._stream.bounds is not None else None
 
     def _check_quantity(self, quantity: str) -> None:
         if quantity not in self.quantities:
@@ -273,42 +247,22 @@ class WindowedAnalysis:
     def pooled(self, quantity: str) -> PooledDistribution:
         """Cross-window mean-and-σ pooled distribution of one quantity (Fig. 3 data).
 
-        Computed with the same in-order streaming fold as the engine, so a
-        directly-constructed analysis compares equal to an engine-produced
-        one over the same windows.  (The Welford fold agrees with the
-        stacked two-pass :func:`repro.analysis.pooling.aggregate_pooled`
+        The in-order Welford fold of :class:`StreamAnalyzer`.  It agrees
+        with the stacked two-pass :func:`repro.analysis.pooling.aggregate_pooled`
         only to floating-point tolerance, not bitwise — they are different
-        computations of the same moments.)
+        computations of the same moments.
         """
         self._check_quantity(quantity)
-        if self._stream is not None:
-            return self._stream.pooled[quantity]
-        memo = self._memo
-        if ("pooled", quantity) not in memo:
-            memo[("pooled", quantity)] = _fold_pooled(
-                pool_differential_cumulative(w.histograms[quantity]) for w in self.windows
-            )
-        return memo[("pooled", quantity)]
+        return self._stream.pooled[quantity]
 
     def merged_histogram(self, quantity: str) -> DegreeHistogram:
         """Counts of one quantity summed over every window."""
         self._check_quantity(quantity)
-        if self._stream is not None:
-            return self._stream.merged[quantity]
-        memo = self._memo
-        if ("merged", quantity) not in memo:
-            merged = self.windows[0].histograms[quantity]
-            for w in self.windows[1:]:
-                merged = merged.merge(w.histograms[quantity])
-            memo[("merged", quantity)] = merged
-        return memo[("merged", quantity)]
+        return self._stream.merged[quantity]
 
     def dmax(self, quantity: str) -> int:
         """Largest observed value of one quantity across all windows."""
-        self._check_quantity(quantity)
-        if self._stream is not None:
-            return self._stream.merged[quantity].dmax
-        return max(w.histograms[quantity].dmax for w in self.windows)
+        return self.merged_histogram(quantity).dmax
 
     def fit_zipf_mandelbrot(self, quantity: str, **kwargs) -> ZMFitResult:
         """Fit the modified Zipf–Mandelbrot model to one quantity (Fig. 3 black line)."""
@@ -317,9 +271,7 @@ class WindowedAnalysis:
 
     def aggregates_table(self) -> list:
         """Per-window Table-I aggregates, one dict row per window."""
-        if self._stream is not None:
-            return [aggregates.as_row() for aggregates in self._stream.aggregate_rows]
-        return [w.aggregates.as_row() for w in self.windows]
+        return [aggregates.as_row() for aggregates in self._stream.aggregate_rows]
 
 
 class StreamAnalyzer:
@@ -333,8 +285,7 @@ class StreamAnalyzer:
     O(bins) — independent of the number of windows — so arbitrarily long
     traces can be analysed in a single pass without retaining per-window
     products (``keep_windows=False``, the default); the aggregates table is
-    the one O(windows) product kept, a few integers per window — pass
-    ``keep_aggregates=False`` to drop it too on unbounded streams.
+    the one O(windows) product kept, a few integers per window.
 
     The fold is order-sensitive in floating point; every execution backend
     yields results in window order, which makes the resulting pooled
@@ -347,7 +298,6 @@ class StreamAnalyzer:
         quantities: Sequence[str] = QUANTITY_NAMES,
         *,
         keep_windows: bool = False,
-        keep_aggregates: bool = True,
         mode: str = "exact",
         sketch: SketchConfig | None = None,
     ) -> None:
@@ -373,7 +323,7 @@ class StreamAnalyzer:
             else {q: np.zeros(0, dtype=np.int64) for q in self.quantities}
         )
         self._merged_sketch: WindowSketch | None = None
-        self._aggregates: list[AggregateProperties] | None = [] if keep_aggregates else None
+        self._aggregates: list[AggregateProperties] = []
         self._windows: list[WindowResult] | None = [] if keep_windows else None
         self._n_windows = 0
 
@@ -397,8 +347,7 @@ class StreamAnalyzer:
         ``pool_differential_cumulative(result.histograms[q])``.
         """
         self._n_windows += 1
-        if self._aggregates is not None:
-            self._aggregates.append(result.aggregates)
+        self._aggregates.append(result.aggregates)
         for quantity in self.quantities:
             histogram = result.histograms[quantity]
             window_pooled = (
@@ -478,7 +427,7 @@ class StreamAnalyzer:
             "totals": {q: int(self._totals[q]) for q in self.quantities},
             "merged_dense": {q: arr.copy() for q, arr in self._merged_dense.items()},
             "merged_sketch": self._merged_sketch.copy() if self._merged_sketch is not None else None,
-            "aggregates": tuple(self._aggregates) if self._aggregates is not None else None,
+            "aggregates": tuple(self._aggregates),
         }
 
     def restore(self, state: Mapping[str, object]) -> None:
@@ -510,35 +459,36 @@ class StreamAnalyzer:
                 for q in self.quantities
             }
             self._merged_sketch = None
-        aggregates = state["aggregates"]
-        if self._aggregates is not None:
-            self._aggregates = list(aggregates) if aggregates is not None else []
+        self._aggregates = list(state["aggregates"])
 
-    def result(self, *, stats: Mapping[str, object] | None = None) -> WindowedAnalysis:
-        """Finalize into a :class:`WindowedAnalysis` (raises if no windows)."""
+    def _state(self, *, stats: Mapping[str, object]) -> _StreamState:
+        """The folded products as one immutable record (raises if no windows)."""
         if self.n_windows == 0:
             raise ValueError(_NO_WINDOWS_MESSAGE)
-        run_stats = dict(stats or {})
-        run_stats.setdefault("mode", self.mode)
         if self._merged_sketch is not None:
             merged_estimates = self._merged_sketch.histograms()
             merged = {q: merged_estimates[q] for q in self.quantities}
         else:
             merged = {q: self.merged_histogram(q) for q in self.quantities}
-        state = _StreamState(
+        return _StreamState(
             n_windows=self.n_windows,
             pooled={q: self.pooled(q) for q in self.quantities},
             merged=merged,
-            aggregate_rows=tuple(self._aggregates or ()),
-            stats=run_stats,
+            aggregate_rows=tuple(self._aggregates),
+            stats=dict(stats),
             sketch=self._merged_sketch,
             bounds=self._merged_sketch.bounds() if self._merged_sketch is not None else None,
         )
+
+    def result(self, *, stats: Mapping[str, object] | None = None) -> WindowedAnalysis:
+        """Finalize into a :class:`WindowedAnalysis` (raises if no windows)."""
+        run_stats = dict(stats or {})
+        run_stats.setdefault("mode", self.mode)
         return WindowedAnalysis(
             n_valid=self.n_valid,
             windows=tuple(self._windows) if self._windows is not None else (),
             quantities=self.quantities,
-            _stream=state,
+            _stream=self._state(stats=run_stats),
         )
 
 
@@ -598,10 +548,10 @@ def analyze_window_sketch(
 #: the second element is ``None``).
 _ResultPair = Tuple[WindowResult, Optional[Mapping[str, PooledDistribution]]]
 
-#: Windows packed into one process-backend task unless ``batch_windows``
-#: says otherwise.  With at most ``2 × n_workers`` tasks in flight, the
-#: engine reads at most ``(2 × n_workers + 1) × batch`` windows ahead of
-#: the fold.
+#: Windows packed into one process-backend task.  With at most
+#: ``2 × n_workers`` tasks in flight, the engine reads at most
+#: ``(2 × n_workers + 1) × BATCH_WINDOWS`` windows ahead of the fold.
+#: Batching only changes how results move, never what they are.
 BATCH_WINDOWS = 4
 
 
@@ -637,16 +587,16 @@ def _process_results(
     backend_impl: ProcessBackend,
     windows: Iterator[PacketTrace],
     window_task,
-    batch: int,
     quantities: Sequence[str],
     sketch_config: SketchConfig | None,
 ) -> Iterator[_ResultPair]:
     """The process backend's side of :func:`iter_window_results`.
 
     Windows are packed (:func:`repro.streaming.kernel.window_payload`) as
-    they stream past, *batch* to a task.  Under the ``"shm"`` transport
-    each batch is published to its own segment, closed once that batch's
-    results have been yielded — or when the fold fails or is abandoned.
+    they stream past, :data:`BATCH_WINDOWS` to a task.  Under the ``"shm"``
+    transport each batch is published to its own segment, closed once that
+    batch's results have been yielded — or when the fold fails or is
+    abandoned.
     """
     head = list(itertools.islice(windows, 2))
     if backend_impl.n_workers == 1 or len(head) < 2:
@@ -657,7 +607,7 @@ def _process_results(
             yield result, None
         return
     payloads = (_kernel.window_payload(w) for w in itertools.chain(head, windows))
-    batches = iter_batches(payloads, batch)
+    batches = iter_batches(payloads, BATCH_WINDOWS)
     published: collections.deque = collections.deque()
     if backend_impl.payload_transport == "shm":
 
@@ -683,7 +633,6 @@ def iter_window_results(
     backend_impl: ExecutionBackend,
     windows: Iterable[PacketTrace],
     *,
-    batch_windows: int | None = None,
     quantities: Sequence[str] = QUANTITY_NAMES,
     mode: str = "exact",
     sketch: SketchConfig | None = None,
@@ -691,10 +640,10 @@ def iter_window_results(
     """Map windows through a backend, yielding ``(result, pooled)`` in order.
 
     * **process** — windows are packed into raw-column payloads and shipped
-      in batches of *batch_windows* (default :data:`BATCH_WINDOWS`), one
-      batch per task; workers return results *and* the pooled vectors of
-      *quantities*.  The window stream is consumed lazily, so the engine
-      holds at most ``(2 × n_workers + 1) × batch`` windows at once.  How
+      in batches of :data:`BATCH_WINDOWS`, one batch per task; workers
+      return results *and* the pooled vectors of *quantities*.  The window
+      stream is consumed lazily, so the engine holds at most
+      ``(2 × n_workers + 1) × BATCH_WINDOWS`` windows at once.  How
       the column bytes reach the workers is the backend's
       ``payload_transport``: ``"shm"`` (the default where supported)
       publishes each batch into a shared-memory segment
@@ -712,13 +661,12 @@ def iter_window_results(
     themselves across backends and batch sizes.
     """
     sketch_config = _resolve_sketch_config(mode, sketch)
-    batch = BATCH_WINDOWS if batch_windows is None else check_positive_int(batch_windows, "batch_windows")
     if sketch_config is not None:
         window_task = functools.partial(analyze_window_sketch, config=sketch_config)
     else:
         window_task = analyze_window
     if isinstance(backend_impl, ProcessBackend):
-        yield from _process_results(backend_impl, iter(windows), window_task, batch, quantities, sketch_config)
+        yield from _process_results(backend_impl, iter(windows), window_task, quantities, sketch_config)
         return
     for result in backend_impl.map(window_task, windows):
         yield result, None
@@ -730,7 +678,6 @@ def fold_windows(
     folder,
     *,
     consumers: Sequence = (),
-    batch_windows: int | None = None,
     mode: str = "exact",
     sketch: SketchConfig | None = None,
 ) -> int:
@@ -760,7 +707,7 @@ def fold_windows(
         any are present — or when *folder* is itself a multi-consumer
         wrapper — each window is pooled exactly once and the vectors are
         shared, instead of every consumer re-pooling.
-    batch_windows / mode / sketch:
+    mode / sketch:
         As in :func:`iter_window_results`.
 
     Returns
@@ -770,8 +717,7 @@ def fold_windows(
     """
     quantities = tuple(folder.quantities)
     pairs = iter_window_results(
-        backend_impl, windows, batch_windows=batch_windows,
-        quantities=quantities, mode=mode, sketch=sketch,
+        backend_impl, windows, quantities=quantities, mode=mode, sketch=sketch,
     )
     # pre-pool only when more than one consumer would otherwise repeat the
     # pooling work; a bare StreamAnalyzer pools internally either way, and
@@ -794,37 +740,12 @@ def fold_windows(
     return n_folded
 
 
-def analyze_windows(
-    windows: Sequence[PacketTrace],
-    *,
-    n_valid: int,
-    quantities: Sequence[str] = QUANTITY_NAMES,
-    n_workers: int | None = None,
-    backend: Union[str, ExecutionBackend, None] = None,
-    keep_windows: bool = True,
-    batch_windows: int | None = None,
-    mode: str = "exact",
-    sketch: SketchConfig | None = None,
-    payload_transport: str | None = None,
-) -> WindowedAnalysis:
-    """Analyse pre-cut windows (used directly by the parallel benchmarks)."""
-    backend_impl = get_backend(backend, n_workers=n_workers, payload_transport=payload_transport)
-    analyzer = StreamAnalyzer(
-        n_valid, quantities, keep_windows=keep_windows, mode=mode, sketch=sketch
-    )
-    fold_windows(
-        backend_impl, windows, analyzer, batch_windows=batch_windows,
-        mode=mode, sketch=analyzer.sketch_config,
-    )
-    return analyzer.result(stats=backend_stats(backend_impl))
-
-
 def backend_stats(backend_impl: ExecutionBackend) -> dict:
     """Base ``engine_stats`` of one run: backend name plus its transport.
 
     The one rule every engine entry point (:func:`analyze_trace`,
-    :func:`analyze_windows`, :func:`repro.scenarios.run.analyze_scenario`)
-    starts its stats from, so their keys cannot drift apart.
+    :func:`repro.scenarios.run.analyze_scenario`) starts its stats from, so
+    their keys cannot drift apart.
     """
     stats: dict[str, object] = {"backend": backend_impl.name}
     if isinstance(backend_impl, ProcessBackend):
@@ -842,7 +763,6 @@ def analyze_trace(
     backend: Union[str, ExecutionBackend, None] = None,
     chunk_packets: int | None = None,
     keep_windows: bool | None = None,
-    batch_windows: int | None = None,
     mode: str = "exact",
     sketch: SketchConfig | None = None,
     payload_transport: str | None = None,
@@ -881,10 +801,6 @@ def analyze_trace(
         Retain per-window :class:`WindowResult`\\ s on the returned analysis.
         Defaults to ``True`` except under the streaming backend, whose point
         is not to.
-    batch_windows:
-        Windows per process-backend task; ``None`` means
-        :data:`BATCH_WINDOWS`.  Ignored by in-process backends.  Batching
-        never changes results — only how they move.
     mode:
         Per-window analysis tier: ``"exact"`` (the fused kernel, default)
         or ``"sketch"`` (the sub-linear Count-Min/HyperLogLog tier of
@@ -951,8 +867,7 @@ def analyze_trace(
         n_valid, quantities, keep_windows=keep_windows, mode=mode, sketch=sketch
     )
     fold_windows(
-        backend_impl, windows, analyzer, batch_windows=batch_windows,
-        mode=mode, sketch=analyzer.sketch_config,
+        backend_impl, windows, analyzer, mode=mode, sketch=analyzer.sketch_config,
     )
     stats = backend_stats(backend_impl)
     if windower is not None:

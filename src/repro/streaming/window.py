@@ -26,7 +26,6 @@ from repro.streaming.packet import PacketTrace, join_records
 
 __all__ = [
     "iter_windows",
-    "iter_windows_chunked",
     "iter_batches",
     "ChunkedWindower",
     "PushWindower",
@@ -256,12 +255,3 @@ class ChunkedWindower:
         for chunk in self._chunks:
             yield from self._pusher.push(chunk)
         # the trailing partial window (if any) is dropped, matching iter_windows
-
-
-def iter_windows_chunked(chunks: Iterable[PacketTrace], n_valid: int) -> ChunkedWindower:
-    """Window an iterator of trace chunks without materializing the trace.
-
-    Thin constructor around :class:`ChunkedWindower`; iterate the returned
-    object to get the windows, then read its buffering statistics.
-    """
-    return ChunkedWindower(chunks, n_valid)

@@ -366,6 +366,26 @@ class TestFailurePaths:
         code = main(["detect", "run", "stationary", "--max-latency", "-1"])
         self._assert_clean_error(capsys, code, "--max-latency", ">= 0")
 
+    @pytest.mark.parametrize("flags,needles", [
+        (["--chunk-packets", "0"], ("chunk_packets", ">= 1")),
+        (["--nv", "0"], ("n_valid", ">= 1")),
+        (["--nv", "100000000"], ("no complete windows",)),
+        (["--workers", "0"], ("n_workers", ">= 1")),
+        (["--workers", "-2"], ("n_workers", ">= 1")),
+        (["--sketch-seed", "3"], ("--sketch-*", "--mode sketch")),
+    ])
+    @pytest.mark.parametrize("command", ["analyze", "scenarios run", "detect run"])
+    def test_engine_errors_are_one_line(self, trace_file, capsys, command, flags, needles):
+        target = [str(trace_file)] if command == "analyze" else ["stationary"]
+        code = main([*command.split(), *target, *flags])
+        self._assert_clean_error(capsys, code, *needles)
+
+    @pytest.mark.parametrize("command", ["scenarios run", "detect run"])
+    def test_scenario_commands_reject_transport_on_streaming(self, capsys, command):
+        code = main([*command.split(), "stationary", "--backend", "streaming",
+                     "--payload-transport", "shm"])
+        self._assert_clean_error(capsys, code, "--payload-transport", "process backend")
+
     def test_campaign_status_missing_store(self, tmp_path, capsys):
         missing = tmp_path / "nope"
         code = main(["campaign", "status", "--store", str(missing)])

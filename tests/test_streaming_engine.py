@@ -24,18 +24,18 @@ from repro.streaming.parallel import (
     StreamingBackend,
     default_worker_count,
     get_backend,
-    map_windows,
     shared_pool,
     shutdown_shared_pools,
     usable_cpu_count,
 )
+import repro.streaming.pipeline as pipeline
 from repro.streaming.pipeline import (
     BATCH_WINDOWS,
     StreamAnalyzer,
+    WindowedAnalysis,
     iter_window_results,
     analyze_trace,
     analyze_window,
-    analyze_windows,
 )
 from repro.streaming.trace_io import (
     ANALYSIS_COLUMNS,
@@ -50,7 +50,6 @@ from repro.streaming.window import (
     PushWindower,
     iter_batches,
     iter_windows,
-    iter_windows_chunked,
 )
 
 
@@ -83,23 +82,23 @@ class TestChunkedWindower:
     def test_equivalent_to_iter_windows(self, small_trace):
         full = list(iter_windows(small_trace, 20_000))
         for chunk_packets in (3_000, 20_000, 37_000, 200_000):
-            chunked = list(iter_windows_chunked(small_trace.iter_chunks(chunk_packets), 20_000))
+            chunked = list(ChunkedWindower(small_trace.iter_chunks(chunk_packets), 20_000))
             assert len(chunked) == len(full)
             for expected, got in zip(full, chunked):
                 assert np.array_equal(expected.packets, got.packets)
 
     def test_empty_trace(self):
-        assert list(iter_windows_chunked(iter([]), 100)) == []
-        assert list(iter_windows_chunked([PacketTrace.empty()], 100)) == []
+        assert list(ChunkedWindower(iter([]), 100)) == []
+        assert list(ChunkedWindower([PacketTrace.empty()], 100)) == []
 
     def test_zero_valid_packets(self):
         trace = PacketTrace.from_arrays([1, 2, 3], [4, 5, 6], valid=[False, False, False])
         assert list(iter_windows(trace, 2)) == []
-        assert list(iter_windows_chunked(trace.iter_chunks(2), 2)) == []
+        assert list(ChunkedWindower(trace.iter_chunks(2), 2)) == []
 
     def test_trailing_partial_window_dropped(self):
         trace = PacketTrace.from_arrays(np.arange(10), np.arange(10) + 100)
-        windows = list(iter_windows_chunked(trace.iter_chunks(3), 4))
+        windows = list(ChunkedWindower(trace.iter_chunks(3), 4))
         assert len(windows) == 2  # 10 valid packets → two windows of 4, partial 2 dropped
         assert all(w.n_valid == 4 for w in windows)
 
@@ -107,7 +106,7 @@ class TestChunkedWindower:
         valid = np.array([True, False, True, True, False, True, True, True])
         trace = PacketTrace.from_arrays(np.arange(8), np.arange(8) + 10, valid=valid)
         for chunk_packets in (1, 3, 8):
-            windows = list(iter_windows_chunked(trace.iter_chunks(chunk_packets), 3))
+            windows = list(ChunkedWindower(trace.iter_chunks(chunk_packets), 3))
             expected = list(iter_windows(trace, 3))
             assert len(windows) == len(expected) == 2
             for a, b in zip(expected, windows):
@@ -125,7 +124,7 @@ class TestChunkedWindower:
 
     def test_rejects_non_trace_chunks(self):
         with pytest.raises(TypeError):
-            list(iter_windows_chunked([np.arange(3)], 2))
+            list(ChunkedWindower([np.arange(3)], 2))
 
 
 def _reference_window_ends(valid: np.ndarray, n_valid: int) -> np.ndarray:
@@ -418,10 +417,21 @@ class TestBackends:
         with pytest.raises(ValueError, match="unknown payload_transport"):
             ProcessBackend(2, payload_transport="carrier-pigeon")
 
-    def test_map_windows_uses_heuristic_chunksize(self, small_trace):
+    def test_process_map_returns_one_result_per_window(self, small_trace):
         windows = list(iter_windows(small_trace, 20_000))
-        results = map_windows(analyze_window, windows, n_workers=2)
-        assert len(results) == len(windows)
+        results = list(ProcessBackend(2).map(analyze_window, windows))
+        assert [r.aggregates for r in results] == [analyze_window(w).aggregates for w in windows]
+
+    @pytest.mark.parametrize("backend", [None, *BACKEND_NAMES])
+    @pytest.mark.parametrize("n_workers,error", [
+        (0, ValueError),
+        (-2, ValueError),
+        (True, TypeError),
+        (1.5, TypeError),
+    ])
+    def test_bad_worker_count_rejected_on_every_backend(self, backend, n_workers, error):
+        with pytest.raises(error, match="n_workers"):
+            get_backend(backend, n_workers=n_workers)
 
 
 class TestBackendEquivalence:
@@ -567,41 +577,46 @@ class TestStreamingAnalyzeTrace:
         assert len(kept.windows) == kept.n_windows
 
 
-class TestWindowedAnalysisMemo:
-    def test_memo_not_pickled(self, small_trace):
-        analysis = analyze_trace(small_trace, 30_000)
-        # legacy aggregation path exercises the memo
-        object.__setattr__(analysis, "_stream", None)
-        first = analysis.pooled("source_fanout")
-        assert ("pooled", "source_fanout") in analysis._memo
+class TestWindowedAnalysisProducts:
+    def test_pickle_roundtrip(self, small_trace):
+        windows = tuple(analyze_window(w) for w in iter_windows(small_trace, 30_000))
+        analysis = WindowedAnalysis(n_valid=30_000, windows=windows, quantities=QUANTITY_NAMES)
         restored = pickle.loads(pickle.dumps(analysis))
-        assert restored._memo == {}
-        assert np.array_equal(restored.pooled("source_fanout").values, first.values)
-
-    def test_memo_not_shared_between_instances(self, small_trace):
-        windows = [analyze_window(w) for w in iter_windows(small_trace, 30_000)]
-        from repro.streaming.pipeline import WindowedAnalysis
-
-        one = WindowedAnalysis(n_valid=30_000, windows=tuple(windows), quantities=QUANTITY_NAMES)
-        two = WindowedAnalysis(n_valid=30_000, windows=tuple(windows), quantities=QUANTITY_NAMES)
-        one.pooled("source_fanout")
-        assert one._memo and not two._memo
+        assert restored == analysis
+        assert np.array_equal(
+            restored.pooled("source_fanout").values, analysis.pooled("source_fanout").values
+        )
 
     def test_no_mutable_dataclass_cache_field(self):
         """Regression: the old `_pooled_cache` dict *field* leaked shared
-        state into pickles and equality; the memo must not be a field."""
+        state into pickles and equality; no cache may be a field."""
         import dataclasses
-
-        from repro.streaming.pipeline import WindowedAnalysis
 
         field_names = {f.name for f in dataclasses.fields(WindowedAnalysis)}
         assert "_pooled_cache" not in field_names
         assert "_memo" not in field_names
 
-    def test_memoized_merged_histogram(self, small_trace):
-        analysis = analyze_trace(small_trace, 30_000)
-        object.__setattr__(analysis, "_stream", None)
-        assert analysis.merged_histogram("link_packets") is analysis.merged_histogram("link_packets")
+    def test_hand_built_products_match_engine(self, small_trace):
+        """A hand-built analysis folds through StreamAnalyzer at construction:
+        merged histograms, dmax and the aggregates table match the engine's."""
+        engine = analyze_trace(small_trace, 30_000)
+        hand_built = WindowedAnalysis(
+            n_valid=30_000, windows=engine.windows, quantities=QUANTITY_NAMES
+        )
+        assert hand_built.engine_stats == {}
+        assert hand_built.mode == "exact"
+        assert hand_built.aggregates_table() == engine.aggregates_table()
+        for quantity in QUANTITY_NAMES:
+            mine, theirs = hand_built.merged_histogram(quantity), engine.merged_histogram(quantity)
+            assert np.array_equal(mine.degrees, theirs.degrees)
+            assert np.array_equal(mine.counts, theirs.counts)
+            assert hand_built.dmax(quantity) == max(
+                w.histograms[quantity].dmax for w in engine.windows
+            )
+
+    def test_hand_built_without_windows_rejected(self):
+        with pytest.raises(ValueError, match="no complete windows"):
+            WindowedAnalysis(n_valid=100, windows=(), quantities=QUANTITY_NAMES)
 
     def test_equality_compares_products_not_fields(self, small_trace):
         """Regression: streamed analyses (windows=()) of different traces
@@ -625,7 +640,7 @@ class TestWindowedAnalysisMemo:
             q: type(p)(bin_edges=p.bin_edges, values=p.values, sigma=p.sigma + 1.0, total=p.total)
             for q, p in state.pooled.items()
         }
-        from repro.streaming.pipeline import _StreamState, WindowedAnalysis
+        from repro.streaming.pipeline import _StreamState
 
         forged = WindowedAnalysis(
             n_valid=b.n_valid,
@@ -648,7 +663,7 @@ class TestStreamAnalyzerDirect:
         analyzer = StreamAnalyzer(20_000, QUANTITY_NAMES)
         for window in windows:
             analyzer.update(analyze_window(window))
-        batch = analyze_windows(windows, n_valid=20_000)
+        batch = analyze_trace(small_trace, 20_000)
         final = analyzer.result()
         for quantity in QUANTITY_NAMES:
             assert np.array_equal(final.pooled(quantity).values, batch.pooled(quantity).values)
@@ -656,17 +671,6 @@ class TestStreamAnalyzerDirect:
     def test_empty_result_rejected(self):
         with pytest.raises(ValueError, match="no complete windows"):
             StreamAnalyzer(100).result()
-
-    def test_keep_aggregates_opt_out(self, small_trace):
-        """For unbounded streams the per-window Table-I rows can be dropped,
-        making the fold state fully window-count independent."""
-        analyzer = StreamAnalyzer(20_000, QUANTITY_NAMES, keep_aggregates=False)
-        for window in iter_windows(small_trace, 20_000):
-            analyzer.update(analyze_window(window))
-        result = analyzer.result()
-        assert result.n_windows == small_trace.n_valid // 20_000
-        assert result.aggregates_table() == []
-        assert result.pooled("source_fanout").probability_sum() == pytest.approx(1.0)
 
     def test_unknown_quantity_rejected(self):
         with pytest.raises(ValueError):
@@ -676,28 +680,29 @@ class TestStreamAnalyzerDirect:
 class TestWindowBatching:
     """The batched execution paths: payload batches, stream batches, pools."""
 
-    @pytest.fixture(scope="class")
-    def serial_analysis(self, small_trace):
-        return analyze_trace(small_trace, 20_000, backend="serial", keep_windows=False)
-
     def test_iter_batches_groups_in_order(self):
         assert list(iter_batches(range(7), 3)) == [(0, 1, 2), (3, 4, 5), (6,)]
         assert list(iter_batches([], 4)) == []
         with pytest.raises(ValueError):
             list(iter_batches([1], 0))
 
+    @pytest.mark.parametrize("mode", ["exact", "sketch"])
     @pytest.mark.parametrize("backend,kwargs", [
         ("serial", {}),
         ("process", {"n_workers": 2}),
         ("streaming", {"chunk_packets": 40_000}),
     ])
-    def test_batch_windows_never_changes_results(self, small_trace, serial_analysis, backend, kwargs):
-        for batch in (1, 3):
+    def test_batch_size_never_changes_results(self, small_trace, monkeypatch, backend, kwargs, mode):
+        # 10_000 packs every window into one task, which the process map
+        # then runs in-process
+        reference = analyze_trace(small_trace, 20_000, mode=mode, keep_windows=False)
+        for batch in (1, 3, 10_000):
+            monkeypatch.setattr(pipeline, "BATCH_WINDOWS", batch)
             analysis = analyze_trace(
-                small_trace, 20_000, backend=backend, batch_windows=batch,
-                keep_windows=False, **kwargs,
+                small_trace, 20_000, backend=backend, mode=mode, keep_windows=False, **kwargs
             )
-            assert analysis == serial_analysis
+            assert analysis == reference, batch
+            assert analysis.sketch == reference.sketch, batch
 
     def test_process_path_ships_pooled_vectors(self, small_trace):
         windows = list(iter_windows(small_trace, 20_000))
@@ -734,12 +739,6 @@ class TestWindowBatching:
         assert len(pairs) == 1 and pairs[0][1] is None
         assert any("downgrading to serial" in message for message in caplog.messages)
 
-    def test_invalid_batch_windows_rejected(self, small_trace):
-        with pytest.raises(ValueError, match="batch_windows"):
-            analyze_trace(small_trace, 20_000, batch_windows=0)
-        with pytest.raises(ValueError, match="batch_windows"):
-            analyze_trace(small_trace, 20_000, backend="streaming", batch_windows=-2)
-
     def test_single_worker_process_path_analyses_in_process(self, small_trace, caplog):
         windows = list(iter_windows(small_trace, 20_000))
         with caplog.at_level(logging.DEBUG, logger="repro.streaming.pipeline"):
@@ -748,16 +747,6 @@ class TestWindowBatching:
         assert any("in-process" in message for message in caplog.messages)
         for (result, _), expected in zip(pairs, map(analyze_window, windows)):
             assert result.aggregates == expected.aggregates
-
-    def test_oversized_batch_capped_to_keep_workers_occupied(self, small_trace, serial_analysis):
-        # an explicit batch_windows larger than the workload packs every
-        # window into one task, which the map runs in-process; the results
-        # must not change
-        analysis = analyze_trace(
-            small_trace, 20_000, backend="process", n_workers=2,
-            batch_windows=10_000, keep_windows=False,
-        )
-        assert analysis == serial_analysis
 
     def test_process_fold_reads_a_bounded_distance_ahead(self, small_trace):
         windows = list(iter_windows(small_trace, 1_000))

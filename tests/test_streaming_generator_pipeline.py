@@ -7,8 +7,8 @@ import pytest
 
 from repro.streaming.aggregates import QUANTITY_NAMES
 from repro.streaming.packet import PacketTrace
-from repro.streaming.parallel import default_worker_count, map_windows
-from repro.streaming.pipeline import analyze_trace, analyze_window, analyze_windows
+from repro.streaming.parallel import ProcessBackend, SerialBackend, default_worker_count
+from repro.streaming.pipeline import WindowedAnalysis, analyze_trace, analyze_window
 from repro.streaming.trace_generator import (
     TraceConfig,
     effective_window_p,
@@ -102,14 +102,14 @@ class TestTraceGenerator:
 class TestParallelMap:
     def test_serial_matches_parallel(self, small_trace):
         windows = list(iter_windows(small_trace, 20_000))
-        serial = map_windows(analyze_window, windows, n_workers=1)
-        parallel = map_windows(analyze_window, windows, n_workers=2)
+        serial = list(SerialBackend().map(analyze_window, windows))
+        parallel = list(ProcessBackend(2).map(analyze_window, windows))
         assert len(serial) == len(parallel)
         for a, b in zip(serial, parallel):
             assert a.aggregates == b.aggregates
 
     def test_empty_input(self):
-        assert map_windows(analyze_window, []) == []
+        assert list(ProcessBackend(2).map(analyze_window, [])) == []
 
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
@@ -164,10 +164,11 @@ class TestPipeline:
         assert 1.0 < fit.alpha < 4.0
         assert fit.dmax == analysis.dmax("source_fanout")
 
-    def test_analyze_windows_direct(self, small_trace):
-        windows = list(iter_windows(small_trace, 40_000))
-        analysis = analyze_windows(windows, n_valid=40_000)
+    def test_hand_built_analysis(self, small_trace):
+        windows = [analyze_window(w) for w in iter_windows(small_trace, 40_000)]
+        analysis = WindowedAnalysis(n_valid=40_000, windows=tuple(windows), quantities=("source_fanout",))
         assert analysis.n_windows == len(windows)
+        assert analysis == analyze_trace(small_trace, 40_000, quantities=("source_fanout",))
 
     def test_dmax_consistency(self, small_trace):
         analysis = analyze_trace(small_trace, 30_000)

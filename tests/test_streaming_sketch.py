@@ -309,11 +309,11 @@ class TestSketchModeEngine:
         src, dst = _zipf_columns(30_000, seed=9)
         return PacketTrace.from_arrays(src, dst)
 
-    def test_backends_and_batching_are_bit_identical(self, trace):
+    def test_backends_are_bit_identical(self, trace):
         reference = analyze_trace(trace, 5_000, mode="sketch")
         assert reference.mode == "sketch"
         for kwargs in (
-            {"backend": "serial", "batch_windows": 3},
+            {"backend": "serial"},
             {"backend": "process", "n_workers": 2},
             {"backend": "streaming", "chunk_packets": 7_000},
         ):
