@@ -33,7 +33,7 @@ def _campaign() -> Campaign:
         scenarios=SCENARIOS,
         seeds=SEEDS,
         n_valids=(N_VALID,),
-        backends=("streaming",),
+        backends=("serial",),
         chunk_packets=10_000,
     )
 

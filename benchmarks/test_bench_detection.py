@@ -2,7 +2,8 @@
 
 Times :func:`repro.scenarios.analyze_scenario` with and without the full
 detector set riding the fold, on the scenario-subsystem reference grid
-(``N_V = 5000``, serial and streaming backends), and writes a
+(``N_V = 5000``, unchunked and chunked serial runs — the chunked rows
+keep their old ``streaming`` label), and writes a
 ``BENCH_detection.json`` artifact recording the per-case seconds and the
 aggregate overhead ratio.  The acceptance contract — detection costs at
 most 25% over plain analysis — is asserted here on min-of-N timings (the
@@ -37,7 +38,7 @@ _RESULTS: dict[str, dict] = {}
 def _run(scenario: str, backend: str, detectors):
     kwargs = {"backend": backend, "keep_windows": False, "detectors": detectors}
     if backend == "streaming":
-        kwargs["chunk_packets"] = CHUNK_PACKETS
+        kwargs.update(backend="serial", chunk_packets=CHUNK_PACKETS)
     return analyze_scenario(scenario, N_VALID, seed=SEED, **kwargs)
 
 

@@ -2,7 +2,7 @@
 
 Times :func:`repro.scenarios.analyze_scenario` (generation, windowing, and
 the per-phase fold in one pass) for a representative slice of the built-in
-catalogue on the serial and streaming backends, and writes a
+catalogue unchunked and chunked (the ``streaming`` rows), and writes a
 ``BENCH_scenarios.json`` artifact so the scenario subsystem's perf
 trajectory is tracked across PRs.  Backend equality of the pooled output is
 asserted as the cases run.
@@ -12,9 +12,9 @@ and the **best** wall-clock is recorded, mirroring the streaming-engine
 bench — the per-case warm-up matters because the first run of a case pays
 one-time costs (lazy imports, first-call code paths), and without it
 whichever case happens to run first reports an inflated number that trips
-``tools/check_bench.py``.  The streaming
-backend is the serial map under its own name, so its rows differ from the
-serial rows only by the chunked, bounded-buffer scenario reads.
+``tools/check_bench.py``.  The ``streaming`` rows keep the label of the
+backend that used to run them; they run the serial backend and differ from
+the serial rows only by the chunked, bounded-buffer scenario reads.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ _SERIAL_POOLED: dict[str, dict[str, np.ndarray]] = {}
 def _run(name: str, backend: str):
     kwargs = {"backend": backend, "keep_windows": False}
     if backend == "streaming":
-        kwargs["chunk_packets"] = CHUNK_PACKETS
+        kwargs.update(backend="serial", chunk_packets=CHUNK_PACKETS)
     return analyze_scenario(name, N_VALID, seed=SEED, **kwargs)
 
 

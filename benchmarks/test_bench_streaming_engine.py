@@ -1,7 +1,8 @@
 """Benchmark — the backend × transport grid, at scales where parallelism is decidable.
 
 Times :func:`repro.streaming.pipeline.analyze_trace` on seeded traces under
-every execution case (serial, process+shm, process+pickle, streaming) and
+every execution case (serial, process+shm, process+pickle, and
+``streaming`` — the label kept for chunked serial) and
 writes a ``BENCH_streaming_engine.json`` artifact of per-scale rows so the
 perf trajectory of the engine can be tracked across PRs.  All cases must
 agree with the serial run bit-for-bit — the benchmark asserts identity as
@@ -61,7 +62,7 @@ CASES: dict[str, dict] = {
     "serial": {"backend": "serial"},
     "process-shm": {"backend": "process", "payload_transport": "shm"},
     "process-pickle": {"backend": "process", "payload_transport": "pickle"},
-    "streaming": {"backend": "streaming"},
+    "streaming": {"backend": "serial"},
 }
 
 

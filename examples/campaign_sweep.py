@@ -36,7 +36,7 @@ def main() -> None:
         scenarios=("stationary", "alpha-drift", "flash-crowd"),
         seeds=(0, 1, 2),
         n_valids=(scaled(5_000, 500),),
-        backends=("serial", "streaming"),
+        backends=("serial", "process"),
         chunk_packets=scaled(10_000, 1_000),
         description="does the drift statistic separate regimes across seeds?",
     )

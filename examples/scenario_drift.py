@@ -11,10 +11,11 @@ what happens when that assumption is deliberately broken:
 2. run ``alpha-drift``, where the core's power-law exponent drifts
    1.7 → 2.0 → 2.6 across three cross-faded phases, and watch the per-phase
    pooled distributions (and the drift statistic) move,
-3. run ``flash-crowd`` on the bounded-memory *streaming* backend — the
-   scenario trace is never materialized; chunks flow from the generator
-   through the windower into the engine, with peak buffering bounded by the
-   chunk size — and see the drift spike when the star-burst hits,
+3. run ``flash-crowd`` in bounded memory (``chunk_packets`` plus
+   ``keep_windows=False``) — the scenario trace is never materialized;
+   chunks flow from the generator through the windower into the engine,
+   with peak buffering bounded by the chunk size — and see the drift spike
+   when the star-burst hits,
 4. define and register a custom scenario inline, showing the declarative
    `Phase`/`Scenario` API and registration-time validation.
 
@@ -51,11 +52,11 @@ def main() -> None:
     drift = analyze_scenario("alpha-drift", n_valid=5_000, seed=42)
     report("alpha-drift", drift)
 
-    # 3. a flash crowd on the streaming backend: bounded-memory end to end
+    # 3. a flash crowd in bounded memory end to end
     crowd = analyze_scenario(
-        "flash-crowd", n_valid=5_000, seed=42, backend="streaming", chunk_packets=10_000
+        "flash-crowd", n_valid=5_000, seed=42, chunk_packets=10_000, keep_windows=False
     )
-    report("flash-crowd (streaming backend)", crowd)
+    report("flash-crowd (bounded memory)", crowd)
     burst = max(crowd.phases.drift(QUANTITY), key=lambda d: d.score)
     print(f"the burst is phase {burst.phase_a} → {burst.phase_b}: "
           f"drift {burst.score:.2f}, vs {control.phases.max_drift(QUANTITY):.2f} when stationary")

@@ -14,8 +14,8 @@ the single-pass analysis engine:
 5. fit the modified Zipf–Mandelbrot model to every quantity, printing the
    per-panel (α, δ) exactly like the annotations of Figure 3, and
 6. repeat the analysis out-of-core: the trace is written as a v2 *sharded*
-   directory and re-analysed with the bounded-memory *streaming* backend,
-   which reads one chunk at a time — the pooled distributions come out
+   directory and re-analysed in bounded memory (``keep_windows=False``),
+   reading one chunk at a time — the pooled distributions come out
    bit-identical to the in-memory run.
 
 Run with ``python examples/streaming_traffic_analysis.py``.
@@ -93,13 +93,13 @@ def main() -> None:
     ]
     print(format_table(panel))
 
-    # out-of-core rerun: shard the trace to disk and stream it back through
-    # the bounded-memory backend — only one chunk is ever resident
+    # out-of-core rerun: shard the trace to disk and stream it back in
+    # bounded memory — only one chunk is ever resident
     with tempfile.TemporaryDirectory() as tmp:
         shard_packets = scaled(50_000, 5_000)
         sharded = repro.save_trace_sharded(trace, Path(tmp) / "trace-v2", shard_packets=shard_packets)
         streamed = repro.analyze_trace(
-            sharded, n_valid, backend="streaming", chunk_packets=shard_packets
+            sharded, n_valid, chunk_packets=shard_packets, keep_windows=False
         )
         stats = streamed.engine_stats
         print(f"\nout-of-core rerun: {stats['n_chunks']} chunks, "

@@ -50,8 +50,8 @@ class StreamingMoments:
 
     Folding is associative only in exact arithmetic; in floating point the
     result depends on update order, so every execution backend must fold in
-    stream (window) order — which is what makes the serial, process, and
-    streaming backends bit-identical.
+    stream (window) order — which is what makes the serial and process
+    backends bit-identical.
     """
 
     def __init__(self, n_bins: int = 0) -> None:

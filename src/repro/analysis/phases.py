@@ -96,7 +96,7 @@ class PhaseSegmentedAnalyzer:
     :meth:`repro.scenarios.ScenarioTraceSource.phase_of_valid_index`) and
     folded into that phase's running pooled moments.  State is O(phases ×
     quantities × bins), independent of window count, so phase segmentation
-    rides along with bounded-memory streaming runs for free.
+    rides along with bounded-memory (``keep_windows=False``) runs for free.
     """
 
     def __init__(

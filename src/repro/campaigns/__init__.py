@@ -26,7 +26,7 @@ Quickstart::
         scenarios=("stationary", "alpha-drift"),
         seeds=(0, 1, 2),
         n_valids=(5_000,),
-        backends=("streaming",),
+        backends=("serial",),
         chunk_packets=10_000,
     )
     run = run_campaign(campaign, "results-store", pool="process")

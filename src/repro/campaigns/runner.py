@@ -309,7 +309,6 @@ def run_campaign(
     worker_index: int = 1,
     lease_ttl: float = DEFAULT_LEASE_TTL_SECONDS,
     heartbeat_seconds: float | None = None,
-    poll_seconds: float | None = None,
 ) -> CampaignRun:
     """Run (or resume) a campaign against a result store.
 
@@ -325,11 +324,11 @@ def run_campaign(
         by one; ``"process"`` distributes independent cells across worker
         processes.  Cells whose own ``backend`` is ``"process"`` cannot run
         under a process pool (worker processes may not spawn pools of their
-        own); use serial or streaming cell backends when fanning out.
+        own); use serial cell backends when fanning out.
     pool_workers:
         Worker count for ``pool="process"``.
     max_cells:
-        Attempt at most this many missing cells, leaving the rest
+        Attempt at most this many missing cells (``>= 0``), leaving the rest
         ``"skipped"`` — for smoke runs and partial sweeps; re-running the
         campaign picks up exactly the cells left behind.
     recompute:
@@ -356,9 +355,8 @@ def run_campaign(
         same value.
     heartbeat_seconds:
         Heartbeat period while computing a cell (default ``lease_ttl / 3``).
-    poll_seconds:
-        How long a worker with nothing claimable sleeps before re-checking
-        the store (default ``min(1, lease_ttl / 4)``).
+        A worker with nothing claimable re-checks the store every
+        ``min(1, lease_ttl / 4)`` seconds.
 
     Returns
     -------
@@ -372,6 +370,8 @@ def run_campaign(
         # a capped recompute can never advance: the deterministic todo order
         # would re-select the same first cells on every invocation
         raise ValueError("recompute=True cannot be combined with max_cells")
+    if max_cells is not None and max_cells < 0:
+        raise ValueError(f"max_cells must be >= 0, got {max_cells}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not 1 <= worker_index <= workers:
@@ -393,9 +393,7 @@ def run_campaign(
         raise ValueError(
             f"heartbeat_seconds must be in (0, lease_ttl); got {heartbeat} vs ttl {lease_ttl}"
         )
-    poll = min(1.0, lease_ttl / 4) if poll_seconds is None else poll_seconds
-    if poll <= 0:
-        raise ValueError(f"poll_seconds must be > 0, got {poll}")
+    poll = min(1.0, lease_ttl / 4)
 
     store = store if isinstance(store, ResultStore) else ResultStore(store)
     cells = campaign.cells()
@@ -412,7 +410,7 @@ def run_campaign(
     else:
         targets = [spec for spec in unique_specs if spec.key not in store]
 
-    budget = None if max_cells is None else max(0, int(max_cells))
+    budget = None if max_cells is None else int(max_cells)
 
     # pool=None means serial, full stop — never the historical "process when
     # n_workers > 1" inference of get_backend(None, ...); fan-out across
@@ -421,8 +419,8 @@ def run_campaign(
     if pool_backend.name == "process" and any(spec.backend == "process" for spec in targets):
         raise ValueError(
             "cells with backend='process' cannot run under pool='process' "
-            "(pool workers may not spawn process pools); use serial or "
-            "streaming cell backends when fanning out across processes"
+            "(pool workers may not spawn process pools); use serial "
+            "cell backends when fanning out across processes"
         )
     # record the manifest only once the run is actually going to happen, so
     # a rejected invocation leaves no stray campaign in the store; warn when

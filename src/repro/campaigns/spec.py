@@ -11,7 +11,7 @@ every backend produces bit-identical pooled output for the same inputs, so
 two cells that differ only in how they are executed share one result.  The
 result store (:mod:`repro.campaigns.store`) is addressed by this key, which
 is what makes re-running a campaign skip completed cells and lets a sweep
-started on the serial backend warm-hit when re-run on the streaming one.
+started on the serial backend warm-hit when re-run on the process one.
 
 The fingerprint is computed over a canonical JSON encoding (sorted keys,
 no whitespace, ``repr``-exact floats), so a key is stable across processes
@@ -157,6 +157,10 @@ class RunSpec:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         check_positive_int(self.n_valid, "n_valid")
         check_positive_int(self.block_packets, "block_packets")
+        if self.chunk_packets is not None:
+            check_positive_int(self.chunk_packets, "chunk_packets")
+        if self.n_workers is not None:
+            check_positive_int(self.n_workers, "n_workers")
         if self.backend not in BACKEND_NAMES:
             raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}")
         if self.mode not in MODE_NAMES:
@@ -168,6 +172,8 @@ class RunSpec:
         unknown = set(self.quantities) - set(QUANTITY_NAMES)
         if unknown:
             raise ValueError(f"unknown quantities {sorted(unknown)}; valid names: {QUANTITY_NAMES}")
+        if len(set(self.quantities)) != len(self.quantities):
+            raise ValueError(f"duplicate quantities in {list(self.quantities)}")
         unknown_detectors = set(self.detectors) - set(DETECTOR_NAMES)
         if unknown_detectors:
             raise ValueError(

@@ -57,7 +57,6 @@ from repro.streaming.sketch import SketchConfig
 from repro.streaming.trace_generator import TraceConfig, generate_trace_from_graph
 from repro.streaming.trace_io import (
     LAYOUT_NAMES,
-    load_trace,
     save_trace,
     save_trace_sharded,
     trace_format,
@@ -76,8 +75,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument("--backend", choices=list(BACKEND_NAMES), default=None,
                         help="execution backend (default: serial, or process when "
-                             "--workers > 1); results are identical on every backend, "
-                             "'streaming' keeps no per-window results")
+                             "--workers > 1); results are identical on every backend")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for the window map "
                              "(default: 1, or auto with --backend process)")
@@ -103,8 +101,6 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
     sketch = _sketch_from_args(args)
     if args.mode != "sketch" and sketch is not None:
         raise ValueError("--sketch-* options require --mode sketch")
-    if args.backend == "streaming" and args.payload_transport is not None:
-        raise ValueError("--payload-transport applies to the process backend only")
     return {
         "backend": args.backend,
         "n_workers": args.workers,
@@ -113,6 +109,13 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
         "sketch": sketch,
         "payload_transport": args.payload_transport,
     }
+
+
+def _print_engine_banner(stats) -> None:
+    """Print the one-line engine banner of a run's ``engine_stats``."""
+    print(f"engine: backend={stats['backend']} chunks={stats.get('n_chunks')} "
+          f"peak buffered packets={stats.get('max_buffered_packets')}"
+          + (f" transport={stats['payload_transport']}" if "payload_transport" in stats else ""))
 
 
 def _add_sketch_arguments(parser: argparse.ArgumentParser) -> None:
@@ -221,10 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--backend", choices=list(BACKEND_NAMES), default=None,
                      help="execution backend for drivers that analyse traces (fig3)")
     exp.add_argument("--chunk-packets", type=int, default=None,
-                     help="trace chunk size for the streaming backend")
+                     help="trace chunk size for the fig3 window map (bounds the "
+                          "packets buffered at once)")
     exp.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the fig3 window map (default: 4, "
-                          "ignored by the streaming backend)")
+                     help="worker processes for the fig3 window map (default: 4 "
+                          "unless --backend is given)")
     exp.add_argument("--store", default=None,
                      help="result-store directory: cache each experiment's rows under a "
                           "content key so repeated invocations are O(read)")
@@ -308,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="execution backends (fifth grid axis; cells differing only "
                                "in backend share one stored result)")
     camp_run.add_argument("--chunk-packets", type=int, default=None,
-                          help="trace chunk size for streaming-backend cells")
+                          help="scenario chunk size for every cell (bounds the "
+                               "packets buffered at once)")
     camp_run.add_argument("--pool", choices=["serial", "process"], default="serial",
                           help="run-level fan-out: compute independent cells serially or "
                                "across worker processes")
@@ -478,33 +483,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        engine = _engine_kwargs(args)
-        if args.backend == "streaming":
-            if args.workers is not None:
-                print("note: --workers is ignored by the streaming backend (single-threaded fold)")
-            if Path(args.trace).exists() and trace_format(args.trace) == 1:
-                print("note: v1 .npz archives load whole before chunking; generate with "
-                      "--shard-packets for true out-of-core reads")
-            print(f"streaming trace from {args.trace}")
-        elif args.mmap:
-            print(f"mapping trace shards from {args.trace}")
-        else:
-            print(f"reading trace from {args.trace}")
-        # the engine reads the stored trace itself, chunk by chunk, on every backend
-        analysis = analyze_trace(
-            args.trace, args.nv, quantities=tuple(args.quantities), mmap=args.mmap, **engine
-        )
-    except ValueError as error:
-        print(f"error: {error}")
-        return 2
-    stats = analysis.engine_stats
-    if stats["backend"] == "streaming":
-        print(f"engine: backend={stats['backend']} chunks={stats.get('n_chunks')} "
-              f"peak buffered packets={stats.get('max_buffered_packets')}")
-    elif args.mmap or "payload_transport" in stats:
-        print(f"engine: backend={stats['backend']}"
-              + (f" transport={stats['payload_transport']}" if "payload_transport" in stats else ""))
+    # argparse choices allow repeats; naming a quantity twice means "this one"
+    args.quantities = list(dict.fromkeys(args.quantities))
+    engine = _engine_kwargs(args)
+    if args.chunk_packets is not None and Path(args.trace).exists() and trace_format(args.trace) == 1:
+        print("note: v1 .npz archives load whole before chunking; generate with "
+              "--shard-packets for true out-of-core reads")
+    print(f"{'mapping trace shards' if args.mmap else 'reading trace'} from {args.trace}")
+    # the engine reads the stored trace itself, chunk by chunk, on every backend
+    analysis = analyze_trace(
+        args.trace, args.nv, quantities=tuple(args.quantities), mmap=args.mmap,
+        keep_windows=False, **engine,
+    )
+    _print_engine_banner(analysis.engine_stats)
     print(f"{analysis.n_windows} windows of N_V = {args.nv} valid packets\n")
     print("Table-I aggregates per window:")
     print(format_table(analysis.aggregates_table()))
@@ -538,8 +529,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    trace = load_trace(args.trace)
-    analysis = analyze_trace(trace, args.nv, quantities=(args.quantity,))
+    analysis = analyze_trace(args.trace, args.nv, quantities=(args.quantity,), keep_windows=False)
     hist = analysis.merged_histogram(args.quantity)
     pooled = pool_differential_cumulative(hist)
 
@@ -648,20 +638,16 @@ def _run_scenario(args: argparse.Namespace, **analysis_kwargs):
         raise ValueError(error.args[0]) from None
     print(f"scenario {scenario.name!r}: {scenario.n_phases} phases, "
           f"{scenario.n_packets} packets, crossfade {scenario.crossfade_packets}")
-    run = analyze_scenario(scenario, args.nv, seed=args.seed, **engine, **analysis_kwargs)
-    stats = run.engine_stats
-    print(f"engine: backend={stats['backend']} chunks={stats.get('n_chunks')} "
-          f"peak buffered packets={stats.get('max_buffered_packets')}"
-          + (f" transport={stats['payload_transport']}" if "payload_transport" in stats else ""))
+    run = analyze_scenario(
+        scenario, args.nv, seed=args.seed, keep_windows=False, **engine, **analysis_kwargs
+    )
+    _print_engine_banner(run.engine_stats)
     return run
 
 
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:
-    try:
-        run = _run_scenario(args, quantities=tuple(args.quantities))
-    except ValueError as error:
-        print(f"error: {error}")
-        return 2
+    args.quantities = list(dict.fromkeys(args.quantities))
+    run = _run_scenario(args, quantities=tuple(args.quantities))
     print(f"{run.analysis.n_windows} windows of N_V = {args.nv} valid packets")
     for quantity in args.quantities:
         print(f"\nphase summary — {quantity}:")
@@ -701,17 +687,13 @@ def _cmd_detect_run(args: argparse.Namespace) -> int:
     if args.max_latency < 0:
         print(f"error: --max-latency must be >= 0, got {args.max_latency}")
         return 2
-    try:
-        run = _run_scenario(
-            args,
-            # argparse choices allow repeats; asking for a detector twice just
-            # means "this one", so dedupe rather than error
-            detectors=tuple(dict.fromkeys(args.detectors)),
-            detect_quantity=args.quantity,
-        )
-    except ValueError as error:
-        print(f"error: {error}")
-        return 2
+    run = _run_scenario(
+        args,
+        # argparse choices allow repeats; asking for a detector twice just
+        # means "this one", so dedupe rather than error
+        detectors=tuple(dict.fromkeys(args.detectors)),
+        detect_quantity=args.quantity,
+    )
     detection = run.detection
     boundaries = true_change_windows(run.phases.window_phase)
     print(f"{detection.n_windows} windows of N_V = {args.nv} valid packets; "
@@ -744,36 +726,32 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             scenarios=tuple(args.scenarios),
             seeds=tuple(args.seeds),
             n_valids=tuple(args.nv),
-            quantities=tuple(args.quantities),
+            quantities=tuple(dict.fromkeys(args.quantities)),
             detectors=tuple(dict.fromkeys(args.detectors)),
             modes=tuple(dict.fromkeys(args.modes)),
             sketch=_sketch_from_args(args),
             backends=tuple(args.backends),
             chunk_packets=args.chunk_packets,
         )
-    except (KeyError, ValueError) as error:
+    except KeyError as error:
         print(f"error: {error.args[0]}")
         return 2
     fleet = f" (worker {worker_index}/{workers})" if workers > 1 else ""
     print(f"campaign {campaign.name!r}: {campaign.n_cells} cells "
           f"({len(campaign.unique_keys())} unique results) -> store {args.store}{fleet}")
-    try:
-        run = run_campaign(
-            campaign,
-            args.store,
-            pool=args.pool,
-            pool_workers=args.pool_workers,
-            max_cells=args.max_cells,
-            recompute=args.recompute,
-            cell_retries=args.cell_retries,
-            workers=workers,
-            worker_index=worker_index,
-            lease_ttl=DEFAULT_LEASE_TTL_SECONDS if args.lease_ttl is None else args.lease_ttl,
-            heartbeat_seconds=args.heartbeat,
-        )
-    except ValueError as error:
-        print(f"error: {error.args[0]}")
-        return 2
+    run = run_campaign(
+        campaign,
+        args.store,
+        pool=args.pool,
+        pool_workers=args.pool_workers,
+        max_cells=args.max_cells,
+        recompute=args.recompute,
+        cell_retries=args.cell_retries,
+        workers=workers,
+        worker_index=worker_index,
+        lease_ttl=DEFAULT_LEASE_TTL_SECONDS if args.lease_ttl is None else args.lease_ttl,
+        heartbeat_seconds=args.heartbeat,
+    )
     print(format_table(run.as_rows()))
     print(f"\ncomputed {run.n_computed}, cached {run.n_cached}, "
           f"failed {run.n_failed}, skipped {run.n_skipped}"
@@ -849,16 +827,10 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.config import JobConfigError, load_job_config
+    from repro.service.config import load_job_config
     from repro.service.server import DEFAULT_MAX_BATCH_BYTES, serve
 
-    configs = []
-    for path in args.job:
-        try:
-            configs.append(load_job_config(path))
-        except JobConfigError as error:
-            print(f"error: {error}")
-            return 2
+    configs = [load_job_config(path) for path in args.job]
     names = [config.name for config in configs]
     if len(set(names)) != len(names):
         print(f"error: duplicate job names across --job files: {sorted(names)}")
@@ -990,13 +962,9 @@ def _daemon_error_line(status: int, body: dict) -> str:
 
 
 def _cmd_jobs_submit(args: argparse.Namespace) -> int:
-    from repro.service.config import JobConfigError, load_job_config
+    from repro.service.config import load_job_config
 
-    try:
-        config = load_job_config(args.config)
-    except JobConfigError as error:
-        print(f"error: {error}")
-        return 2
+    config = load_job_config(args.config)
     import json
 
     payload = json.dumps(config.as_dict()).encode("utf-8")
@@ -1117,10 +1085,18 @@ def _cmd_jobs_feed(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A ``ValueError`` from a command — an input the library rejects — prints
+    one ``error:`` line and exits 2 instead of a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return int(args.func(args))
+    try:
+        return int(args.func(args))
+    except ValueError as error:
+        print(f"error: {error}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

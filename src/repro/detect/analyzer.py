@@ -5,7 +5,7 @@ The PR-1 engine folds window results into a
 execution backend.  :class:`DetectingAnalyzer` wraps that analyzer and
 feeds the same in-order result stream to a set of
 :class:`~repro.detect.detectors.DriftDetector`\\ s — so online change-point
-detection works unchanged with the serial, process, and streaming backends,
+detection works unchanged with the serial and process backends,
 costs one extra O(bins) pass per window, and inherits the engine's
 bit-identity guarantee: the alarm sequence is identical on every backend
 and invariant to chunking.

@@ -22,8 +22,8 @@ Every detector follows the same life cycle:
    changes remain detectable.
 
 State is **O(bins)** per detector — one EWMA baseline vector plus a
-handful of scalars — never O(windows): detectors are built to ride the
-streaming backend over arbitrarily long traces.  All arithmetic is plain float64 in
+handful of scalars — never O(windows): detectors are built to ride a
+bounded-memory pass over arbitrarily long traces.  All arithmetic is plain float64 in
 window order, so alarm sequences inherit the engine's cross-backend
 bit-identity guarantee and are invariant to ``chunk_packets``.
 

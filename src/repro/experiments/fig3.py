@@ -40,11 +40,11 @@ def run_fig3_scenario(
 ) -> dict:
     """Run one Figure-3 panel reproduction end to end.
 
-    The analysis runs on the requested execution backend (serial, process,
-    or streaming — all produce identical pooled distributions); *chunk_packets*
-    bounds the windower's buffer under the streaming backend.  Returns a dict
-    row with the fitted and paper parameters plus fit-quality diagnostics
-    (see module docstring).
+    The analysis runs on the requested execution backend (serial or process
+    — both produce identical pooled distributions) and keeps no per-window
+    results; *chunk_packets* bounds the windower's buffer on either.
+    Returns a dict row with the fitted and paper parameters plus
+    fit-quality diagnostics (see module docstring).
     """
     palu = generate_palu_graph(scenario.parameters, n_nodes=scenario.n_nodes, rng=scenario.seed)
     config = TraceConfig(
@@ -60,6 +60,7 @@ def run_fig3_scenario(
         n_workers=n_workers,
         backend=backend,
         chunk_packets=chunk_packets,
+        keep_windows=False,
     )
     pooled = analysis.pooled(scenario.quantity)
     dmax = analysis.dmax(scenario.quantity)

@@ -24,8 +24,8 @@ Quickstart::
 
     from repro.scenarios import analyze_scenario
 
-    run = analyze_scenario("alpha-drift", n_valid=5_000, seed=0, backend="streaming")
-    run.engine_stats["max_buffered_packets"]   # bounded by the chunk size
+    run = analyze_scenario("alpha-drift", n_valid=5_000, seed=0, keep_windows=False)
+    run.engine_stats["max_buffered_packets"]   # bounded by the block size
     run.phases.drift("source_fanout")          # how far each phase moved
 """
 

@@ -76,7 +76,7 @@ def analyze_scenario(
     n_workers: int | None = None,
     chunk_packets: int | None = None,
     block_packets: int = DEFAULT_BLOCK_PACKETS,
-    keep_windows: bool | None = None,
+    keep_windows: bool = True,
     detectors: Sequence[str] | None = None,
     detect_quantity: str | None = None,
     mode: str = "exact",
@@ -95,9 +95,9 @@ def analyze_scenario(
         Scenario seed; the same seed reproduces the identical trace (and
         therefore identical analysis) on every backend and chunking.
     quantities, backend, n_workers, chunk_packets, keep_windows:
-        As in :func:`repro.streaming.pipeline.analyze_trace`.  Under
-        ``backend="streaming"`` the default ``chunk_packets`` falls back to
-        ``block_packets`` so buffering is always bounded.
+        As in :func:`repro.streaming.pipeline.analyze_trace`.  Without
+        ``chunk_packets`` the source yields one chunk per generation
+        block, so buffering is bounded by the block size either way.
     block_packets:
         Internal generation block size (part of the trace's identity: the
         same scenario and seed with a different block size is a different —
@@ -133,10 +133,6 @@ def analyze_scenario(
     scenario = get_scenario(scenario)
     n_valid = check_positive_int(n_valid, "n_valid")
     backend_impl = get_backend(backend, n_workers=n_workers, payload_transport=payload_transport)
-    if keep_windows is None:
-        keep_windows = backend_impl.name != "streaming"
-    if chunk_packets is None and backend_impl.name == "streaming":
-        chunk_packets = block_packets
 
     source = ScenarioTraceSource(
         scenario, seed=seed, chunk_packets=chunk_packets, block_packets=block_packets
@@ -164,8 +160,7 @@ def analyze_scenario(
     # the one shared fold loop (windows are pooled once, vectors handed to
     # every consumer): identical code to analyze_trace and the service daemon
     fold_windows(
-        backend_impl, windower, folder, consumers=(segmenter,),
-        mode=mode, sketch=analyzer.sketch_config,
+        backend_impl, windower, folder, consumers=(segmenter,), sketch=analyzer.sketch_config,
     )
     stats = {
         **backend_stats(backend_impl),

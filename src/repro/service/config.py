@@ -99,6 +99,8 @@ class WindowSection:
         )
         if not quantities:
             raise _fail(f"{path}.quantities", "must name at least one quantity")
+        if len(set(quantities)) != len(quantities):
+            raise _fail(f"{path}.quantities", f"duplicate quantity names in {list(quantities)}")
         if self.mode not in MODE_NAMES:
             raise _fail(f"{path}.mode", f"unknown mode {self.mode!r}; valid: {list(MODE_NAMES)}")
 

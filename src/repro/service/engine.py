@@ -231,10 +231,7 @@ class JobEngine:
         self.packets_ingested += chunk.n_packets
         self.batches_ingested += 1
         if windows:
-            fold_windows(
-                self._backend, windows, self.folder,
-                mode=self.config.window.mode, sketch=self._sketch,
-            )
+            fold_windows(self._backend, windows, self.folder, sketch=self._sketch)
         return len(windows)
 
     def snapshot(self) -> dict:

@@ -37,7 +37,6 @@ from repro.streaming.parallel import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    StreamingBackend,
     default_worker_count,
     get_backend,
     shutdown_shared_pools,
@@ -99,7 +98,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessBackend",
-    "StreamingBackend",
     "get_backend",
     "MODE_NAMES",
     "StreamAnalyzer",

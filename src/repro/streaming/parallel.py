@@ -16,15 +16,13 @@ substrate can be swapped beneath a stable analysis API:
   engine maps *batches* of window payloads, so one task carries several
   windows.  The pool outlives individual maps (:func:`shared_pool`), so
   repeated analyses stop paying worker start-up.
-* :class:`StreamingBackend` — the serial map under its own name.  Its
-  bounded memory comes from the chunked trace reads the engine pairs it
-  with (``keep_windows`` defaults to ``False`` and scenario sources are
-  read in blocks), not from anything in the map itself.
 
-All three yield results **in input order**, which is what lets the
+Both yield results **in input order**, which is what lets the
 incremental consumer (:class:`repro.streaming.pipeline.StreamAnalyzer`) fold
-them into bit-identical pooled aggregates regardless of backend.  Nothing
-here analyses windows itself: every analysis maps through a backend inside
+them into bit-identical pooled aggregates regardless of backend.  Bounded
+memory is not a backend property: it comes from the chunked trace reads
+every engine run uses and from ``keep_windows=False``.  Nothing here
+analyses windows itself: every analysis maps through a backend inside
 :func:`repro.streaming.pipeline.fold_windows`.
 """
 
@@ -45,7 +43,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessBackend",
-    "StreamingBackend",
     "BACKEND_NAMES",
     "get_backend",
     "usable_cpu_count",
@@ -59,7 +56,7 @@ _R = TypeVar("_R")
 _logger = get_logger("streaming.parallel")
 
 #: Names accepted by :func:`get_backend` (and the CLI ``--backend`` flag).
-BACKEND_NAMES = ("serial", "process", "streaming")
+BACKEND_NAMES = ("serial", "process")
 
 
 def usable_cpu_count() -> int:
@@ -76,21 +73,21 @@ def usable_cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def default_worker_count(*, reserve: int = 2, maximum: int = 16) -> int:
-    """A sensible worker count: usable CPUs minus a *scaled* reserve, capped.
+def default_worker_count() -> int:
+    """A sensible worker count: usable CPUs minus a *scaled* reserve, at most 16.
 
-    The reserve (head-room for the parent process and the OS) is scaled to
-    the machine: it only applies in full once at least ``reserve + 2`` CPUs
-    are usable.  A flat ``cpus - reserve`` silently downgraded 2–3-CPU boxes
-    to one worker — and therefore to serial execution — even though parallel
-    hardware existed; now 2 and 3 usable CPUs yield 2 workers (reserve 0
-    and 1 respectively), and only a true 1-CPU budget degrades to 1, which
-    :meth:`ProcessBackend.map` treats as serial in-process execution — the
-    right call when there is no parallel hardware to occupy.
+    The reserve of two CPUs (head-room for the parent process and the OS)
+    is scaled to the machine: it only applies in full once at least four
+    CPUs are usable.  A flat ``cpus - 2`` silently downgraded 2–3-CPU boxes
+    to one worker — and therefore to serial execution — even though
+    parallel hardware existed; now 2 and 3 usable CPUs yield 2 workers
+    (reserve 0 and 1 respectively), and only a true 1-CPU budget degrades
+    to 1, which :meth:`ProcessBackend.map` treats as serial in-process
+    execution — the right call when there is no parallel hardware to occupy.
     """
     cpus = usable_cpu_count()
-    scaled_reserve = min(reserve, max(0, cpus - 2))
-    return max(1, min(cpus - scaled_reserve, maximum))
+    scaled_reserve = min(2, max(0, cpus - 2))
+    return max(1, min(cpus - scaled_reserve, 16))
 
 
 # -- warm shared pools --------------------------------------------------------
@@ -231,18 +228,6 @@ class SerialBackend:
         return (func(item) for item in items)
 
 
-class StreamingBackend(SerialBackend):
-    """The serial map under the ``"streaming"`` name.
-
-    Kept so ``backend="streaming"`` (and ``engine_stats``, campaign reports
-    and CLI banners that print it) read as before.  What the name selects
-    lives in the callers: per-window results are not retained by default
-    and scenario sources are read in bounded blocks.
-    """
-
-    name = "streaming"
-
-
 class ProcessBackend:
     """Worker-pool execution fed lazily, with a bounded number of tasks in flight.
 
@@ -367,8 +352,6 @@ def get_backend(
             )
         if backend == "serial":
             return SerialBackend()
-        if backend == "streaming":
-            return StreamingBackend()
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}")
     if isinstance(backend, ExecutionBackend):
         if payload_transport is not None:

@@ -10,10 +10,10 @@ is built as a single-pass engine: windows flow through a pluggable
 pooled aggregates (mean ``D(d_i)`` and ``σ(d_i)`` via
 :class:`repro.analysis.moments.StreamingMoments`) and incrementally merged
 histograms.  Because the fold happens in window order on every backend, the
-serial, process, and streaming backends produce bit-identical pooled
-distributions; because the fold state is O(bins) per quantity (plus a
-few-integer Table-I row per window), every backend can analyse an on-disk
-trace far larger than memory (``analyze_trace(path, ..., chunk_packets=...)``).
+serial and process backends produce bit-identical pooled distributions;
+because the fold state is O(bins) per quantity (plus a few-integer Table-I
+row per window), every backend can analyse an on-disk trace far larger than
+memory (``analyze_trace(path, ..., keep_windows=False)``).
 :class:`StreamAnalyzer` is the only fold: a :class:`WindowedAnalysis` built
 by hand from window results folds them through it at construction.
 """
@@ -152,8 +152,8 @@ class WindowedAnalysis:
         The window size ``N_V`` used.
     windows:
         Per-window results, in stream order.  Empty when the analysis was
-        produced by a bounded-memory streaming run (``keep_windows=False``);
-        the cross-window products below remain available either way.
+        produced with ``keep_windows=False`` (bounded memory); the
+        cross-window products below remain available either way.
     quantities:
         The quantity names analysed (a subset of
         :data:`repro.streaming.aggregates.QUANTITY_NAMES`).
@@ -306,6 +306,8 @@ class StreamAnalyzer:
         if unknown:
             raise ValueError(f"unknown quantities {sorted(unknown)}; valid names: {QUANTITY_NAMES}")
         self.quantities = tuple(quantities)
+        if len(set(self.quantities)) != len(self.quantities):
+            raise ValueError(f"duplicate quantities in {list(self.quantities)}")
         self.sketch_config = _resolve_sketch_config(mode, sketch)
         self.mode = mode
         self._moments = {q: StreamingMoments() for q in self.quantities}
@@ -634,7 +636,6 @@ def iter_window_results(
     windows: Iterable[PacketTrace],
     *,
     quantities: Sequence[str] = QUANTITY_NAMES,
-    mode: str = "exact",
     sketch: SketchConfig | None = None,
 ) -> Iterator[_ResultPair]:
     """Map windows through a backend, yielding ``(result, pooled)`` in order.
@@ -651,22 +652,21 @@ def iter_window_results(
       ships the bytes through each task — bit-identical results either
       way.  With a single worker, or a stream of at most one window, the
       map stays in-process (identical code, no payload round-trip).
-    * **serial / streaming / custom** — the plain in-order map, one window
-      at a time.
+    * **serial / custom** — the plain in-order map, one window at a time.
 
     Every strategy yields results in window order, so the downstream fold —
     and therefore the pooled output — is bit-identical across all of them.
-    In sketch mode (``mode="sketch"``) the sketch-tier per-window analysis
-    is used instead; sketched results are likewise bit-identical among
-    themselves across backends and batch sizes.
+    A *sketch* config selects the sketch-tier per-window analysis (the
+    resolved :attr:`StreamAnalyzer.sketch_config`; ``None`` is the exact
+    kernel); sketched results are likewise bit-identical among themselves
+    across backends and batch sizes.
     """
-    sketch_config = _resolve_sketch_config(mode, sketch)
-    if sketch_config is not None:
-        window_task = functools.partial(analyze_window_sketch, config=sketch_config)
+    if sketch is not None:
+        window_task = functools.partial(analyze_window_sketch, config=sketch)
     else:
         window_task = analyze_window
     if isinstance(backend_impl, ProcessBackend):
-        yield from _process_results(backend_impl, iter(windows), window_task, quantities, sketch_config)
+        yield from _process_results(backend_impl, iter(windows), window_task, quantities, sketch)
         return
     for result in backend_impl.map(window_task, windows):
         yield result, None
@@ -678,7 +678,6 @@ def fold_windows(
     folder,
     *,
     consumers: Sequence = (),
-    mode: str = "exact",
     sketch: SketchConfig | None = None,
 ) -> int:
     """THE window-fold loop: map windows through a backend into *folder*.
@@ -707,8 +706,9 @@ def fold_windows(
         any are present — or when *folder* is itself a multi-consumer
         wrapper — each window is pooled exactly once and the vectors are
         shared, instead of every consumer re-pooling.
-    mode / sketch:
-        As in :func:`iter_window_results`.
+    sketch:
+        As in :func:`iter_window_results`: the folder's resolved sketch
+        config, or ``None`` for the exact kernel.
 
     Returns
     -------
@@ -716,9 +716,7 @@ def fold_windows(
         Number of windows folded by this call.
     """
     quantities = tuple(folder.quantities)
-    pairs = iter_window_results(
-        backend_impl, windows, quantities=quantities, mode=mode, sketch=sketch,
-    )
+    pairs = iter_window_results(backend_impl, windows, quantities=quantities, sketch=sketch)
     # pre-pool only when more than one consumer would otherwise repeat the
     # pooling work; a bare StreamAnalyzer pools internally either way, and
     # both paths run pool_differential_cumulative on the same histogram, so
@@ -759,10 +757,9 @@ def analyze_trace(
     *,
     quantities: Sequence[str] = QUANTITY_NAMES,
     n_workers: int | None = None,
-    max_windows: int | None = None,
     backend: Union[str, ExecutionBackend, None] = None,
     chunk_packets: int | None = None,
-    keep_windows: bool | None = None,
+    keep_windows: bool = True,
     mode: str = "exact",
     sketch: SketchConfig | None = None,
     payload_transport: str | None = None,
@@ -785,11 +782,8 @@ def analyze_trace(
         Worker processes for the per-window analysis.  Unset (``None``)
         means serial, or an automatic worker count under
         ``backend="process"``; an explicit value is honoured exactly.
-    max_windows:
-        Optionally cap the number of windows analysed (useful for quick
-        looks at very long traces); a positive integer when given.
     backend:
-        Execution backend: ``"serial"``, ``"process"``, ``"streaming"``, an
+        Execution backend: ``"serial"``, ``"process"``, an
         :class:`~repro.streaming.parallel.ExecutionBackend` instance, or
         ``None`` to derive serial/process from *n_workers* as before.  All
         backends produce bit-identical pooled distributions.
@@ -799,8 +793,8 @@ def analyze_trace(
         chunk size (plus one window) instead of the trace length.
     keep_windows:
         Retain per-window :class:`WindowResult`\\ s on the returned analysis.
-        Defaults to ``True`` except under the streaming backend, whose point
-        is not to.
+        Pass ``False`` for a bounded-memory pass: the cross-window products
+        are folded either way.
     mode:
         Per-window analysis tier: ``"exact"`` (the fused kernel, default)
         or ``"sketch"`` (the sub-linear Count-Min/HyperLogLog tier of
@@ -831,11 +825,7 @@ def analyze_trace(
     WindowedAnalysis
     """
     n_valid = check_positive_int(n_valid, "n_valid")
-    if max_windows is not None:
-        max_windows = check_positive_int(max_windows, "max_windows")
     backend_impl = get_backend(backend, n_workers=n_workers, payload_transport=payload_transport)
-    if keep_windows is None:
-        keep_windows = backend_impl.name != "streaming"
 
     windower: ChunkedWindower | None = None
     if isinstance(trace, (str, os.PathLike, Path)):
@@ -859,16 +849,12 @@ def analyze_trace(
             f"trace must be a PacketTrace, a stored-trace path, or an iterable of chunks, "
             f"got {type(trace).__name__}"
         )
-    if max_windows is not None:
-        windows = itertools.islice(windows, max_windows)
 
     _logger.debug("analysing windows of %d valid packets via %s backend", n_valid, backend_impl.name)
     analyzer = StreamAnalyzer(
         n_valid, quantities, keep_windows=keep_windows, mode=mode, sketch=sketch
     )
-    fold_windows(
-        backend_impl, windows, analyzer, mode=mode, sketch=analyzer.sketch_config,
-    )
+    fold_windows(backend_impl, windows, analyzer, sketch=analyzer.sketch_config)
     stats = backend_stats(backend_impl)
     if windower is not None:
         # read after the fold so the high-water mark covers the whole pass

@@ -8,8 +8,8 @@ Two on-disk formats are supported:
 * **v2** — a *sharded* trace: a directory containing a ``manifest.json``
   plus consecutive ``shard-NNNNN`` files, each holding a bounded number
   of packets.  Shards can be read one at a time, which is what lets the
-  streaming engine (:func:`repro.streaming.pipeline.analyze_trace` with
-  ``backend="streaming"``) analyse traces far larger than memory.  Two
+  single-pass engine (:func:`repro.streaming.pipeline.analyze_trace` with
+  ``keep_windows=False``) analyse traces far larger than memory.  Two
   shard layouts exist: ``"npz"`` (compressed archives, the default — small
   on disk, must be decompressed to read) and ``"npy"`` (uncompressed
   structured-record arrays that :func:`iter_trace_chunks` can memory-map

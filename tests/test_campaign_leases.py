@@ -265,7 +265,7 @@ class TestFailureContainment:
     def test_failed_duplicate_cells_share_the_error(self, tmp_path, monkeypatch):
         campaign = lease_campaign(
             scenarios=(LEASE_FLAT,), seeds=(0,),
-            backends=("serial", "streaming"), chunk_packets=2_000,
+            backends=("serial", "process"), chunk_packets=2_000,
         )
         monkeypatch.setattr(
             runner_module, "analyze_scenario",

@@ -9,6 +9,7 @@ interrupted sweep resumes with exactly the missing cells.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import tempfile
 
@@ -28,7 +29,9 @@ from repro.campaigns import (
     run_campaign,
     scenario_fingerprint,
 )
+from repro.cli import main
 from repro.scenarios import Phase, Scenario, analyze_scenario
+from repro.streaming.parallel import BACKEND_NAMES
 
 #: A tiny two-phase scenario so every campaign test runs in well under a second.
 TINY = Scenario(
@@ -78,7 +81,7 @@ class TestRunSpecKeys:
 
     @pytest.mark.parametrize(
         "override",
-        [{"backend": "streaming", "chunk_packets": 2_000}, {"backend": "process", "n_workers": 2}],
+        [{"backend": "serial", "chunk_packets": 2_000}, {"backend": "process", "n_workers": 2}],
     )
     def test_execution_knobs_do_not_change_the_key(self, override):
         base = dict(scenario=TINY, seed=3, n_valid=1_000, quantities=QUANTITIES)
@@ -93,6 +96,21 @@ class TestRunSpecKeys:
             RunSpec(TINY, seed=0, n_valid=1_000, backend="bogus")
         with pytest.raises(ValueError, match="quantities"):
             RunSpec(TINY, seed=0, n_valid=1_000, quantities=("bogus",))
+        with pytest.raises(ValueError, match="duplicate quantities"):
+            RunSpec(TINY, seed=0, n_valid=1_000, quantities=("source_fanout", "source_fanout"))
+
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda store: RunSpec(TINY, seed=0, n_valid=1_000, chunk_packets=0), ValueError, "chunk_packets"),
+        (lambda store: RunSpec(TINY, seed=0, n_valid=1_000, n_workers=0), ValueError, "n_workers"),
+        (lambda store: RunSpec(TINY, seed=0, n_valid=1_000, n_workers=True), TypeError, "n_workers"),
+        (lambda store: run_campaign(tiny_campaign(), store, max_cells=-1), ValueError, "max_cells"),
+    ])
+    def test_bad_execution_inputs_rejected_up_front(self, tmp_path, build, error, match):
+        """A bad execution knob is refused before any cell runs, instead of
+        failing every cell at compute time and using up its retries."""
+        with pytest.raises(error, match=match):
+            build(tmp_path / "store")
+        assert not (tmp_path / "store").exists()
 
     def test_content_key_is_canonical(self):
         assert content_key({"b": 1, "a": 2}) == content_key({"a": 2, "b": 1})
@@ -101,13 +119,13 @@ class TestRunSpecKeys:
 
 class TestCampaign:
     def test_expansion_is_deterministic_and_complete(self):
-        campaign = tiny_campaign(backends=("serial", "streaming"))
+        campaign = tiny_campaign(backends=("serial", "process"))
         cells = campaign.cells()
         assert len(cells) == campaign.n_cells == 2 * 2 * 1 * 2
         assert [c.key for c in cells] == [c.key for c in campaign.cells()]
 
     def test_backend_axis_shares_result_keys(self):
-        campaign = tiny_campaign(backends=("serial", "streaming"))
+        campaign = tiny_campaign(backends=("serial", "process"))
         assert len(campaign.unique_keys()) == campaign.n_cells // 2
 
     def test_unknown_scenario_fails_at_construction(self):
@@ -361,11 +379,26 @@ class TestRunCampaign:
 
     def test_backend_axis_deduplicates_compute(self, tmp_path):
         campaign = tiny_campaign(
-            backends=("serial", "streaming"), chunk_packets=2_000, seeds=(0,)
+            backends=("serial", "process"), chunk_packets=2_000, seeds=(0,)
         )
         cold = run_campaign(campaign, tmp_path / "store")
         assert cold.n_computed == 2  # one per scenario, not per backend
-        assert cold.n_cached == 2   # the streaming twins resolve as hits
+        assert cold.n_cached == 2   # the process twins resolve as hits
+
+    def test_content_key_independent_of_computing_backend(self, tmp_path):
+        """Each backend, run alone, stores every cell under the same key and
+        the same result."""
+        stores = {}
+        for backend in BACKEND_NAMES:
+            campaign = tiny_campaign(backends=(backend,), seeds=(0,), chunk_packets=2_000)
+            run_campaign(campaign, tmp_path / backend)
+            stores[backend] = ResultStore(tmp_path / backend)
+        serial, process = stores["serial"], stores["process"]
+        assert sorted(serial.keys()) == sorted(process.keys())
+        assert len(list(serial.keys())) == 2
+        for key in serial.keys():
+            assert serial.get(key).analysis == process.get(key).analysis
+            assert process.get(key).engine_stats["backend"] == "process"
 
     def test_partial_sweep_resumes_missing_cells_only(self, tmp_path):
         campaign = tiny_campaign()
@@ -481,7 +514,6 @@ class TestRunCampaign:
             ({"workers": 2, "recompute": True}, "recompute"),
             ({"lease_ttl": 0.0}, "lease_ttl"),
             ({"lease_ttl": 5.0, "heartbeat_seconds": 5.0}, "heartbeat"),
-            ({"poll_seconds": 0.0}, "poll_seconds"),
         ],
     )
     def test_fleet_argument_validation(self, tmp_path, kwargs, match):
@@ -527,7 +559,7 @@ class TestCampaignReport:
 
     def test_summary_counts_each_seed_once_across_backends(self, tmp_path):
         campaign = tiny_campaign(
-            scenarios=(TINY,), backends=("serial", "streaming"), chunk_packets=2_000
+            scenarios=(TINY,), backends=("serial", "process"), chunk_packets=2_000
         )
         run_campaign(campaign, tmp_path / "store")
         report = CampaignReport.from_store(tmp_path / "store", campaign.name)
@@ -538,6 +570,37 @@ class TestCampaignReport:
         ResultStore(tmp_path / "store")
         with pytest.raises(KeyError, match="no campaign"):
             CampaignReport.from_store(tmp_path / "store", "nope")
+
+    def test_store_naming_a_removed_backend_still_reports(self, tmp_path, capsys):
+        """Stores written while a ``streaming`` backend existed name it in
+        their manifest cells, run records and stored ``engine_stats``;
+        status and report read those as plain strings and still render."""
+        store = ResultStore(tmp_path / "store")
+        campaign = tiny_campaign(seeds=(0,))
+        run_campaign(campaign, store)
+        manifest = store.load_campaign(campaign.name)
+        for cell in manifest["cells"]:
+            cell["backend"] = "streaming"
+        store.save_campaign(manifest)
+        for key in campaign.unique_keys():
+            run = store.get(key)
+            state = run.analysis._stream
+            analysis = dataclasses.replace(
+                run.analysis,
+                _stream=dataclasses.replace(state, stats={**state.stats, "backend": "streaming"}),
+            )
+            record = store.record(key)
+            meta = {k: record[k] for k in ("spec", "seconds", "n_windows", "attempts")}
+            meta["spec"] = {**meta["spec"], "backend": "streaming"}
+            store.put(key, dataclasses.replace(run, analysis=analysis), meta=meta)
+
+        report = CampaignReport.from_store(store, campaign.name)
+        assert report.complete
+        assert {row["backend"] for row in report.cell_rows("source_fanout")} == {"streaming"}
+        assert {row["computed_by"] for row in report.engine_rows()} == {"streaming"}
+        assert "streaming" in report.render("source_fanout")
+        assert main(["campaign", "status", "--store", str(store.root), "--check"]) == 0
+        assert "check passed" in capsys.readouterr().out
 
 
 class TestCellRetries:

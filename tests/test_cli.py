@@ -86,20 +86,37 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", str(trace_file), "--backend", "gpu"])
 
-    def test_analyze_streaming_backend(self, trace_file, capsys):
+    def test_analyze_chunked_prints_engine_banner(self, trace_file, capsys):
         code = main(
             [
                 "analyze", str(trace_file),
                 "--nv", "20000",
                 "--quantities", "source_fanout",
-                "--backend", "streaming",
+                "--backend", "serial",
                 "--chunk-packets", "10000",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend=streaming" in out
+        assert "engine: backend=serial chunks=" in out
+        assert "peak buffered packets=" in out
+        assert "v1 .npz archives load whole" in out
         assert "Table-I aggregates" in out
+
+    def test_analyze_v1_note_only_with_chunk_packets(self, trace_file, capsys):
+        code = main(["analyze", str(trace_file), "--nv", "20000", "--quantities", "source_fanout"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "engine: backend=serial chunks=" in out
+        assert "note:" not in out
+
+    def test_repeated_quantities_deduped(self, trace_file, capsys):
+        main(["analyze", str(trace_file), "--nv", "20000", "--quantities", "source_fanout"])
+        once = capsys.readouterr().out
+        code = main(["analyze", str(trace_file), "--nv", "20000",
+                     "--quantities", "source_fanout", "source_fanout"])
+        assert code == 0
+        assert capsys.readouterr().out == once
 
     def test_backends_print_identical_fits(self, trace_file, capsys):
         main(["analyze", str(trace_file), "--nv", "20000", "--backend", "serial"])
@@ -108,18 +125,18 @@ class TestAnalyze:
             [
                 "analyze", str(trace_file),
                 "--nv", "20000",
-                "--backend", "streaming",
+                "--backend", "serial",
                 "--chunk-packets", "15000",
             ]
         )
-        streaming_out = capsys.readouterr().out
+        chunked_out = capsys.readouterr().out
         # everything after the engine banner (fits, tables) must agree exactly
         marker = "windows of N_V"
-        assert serial_out.split(marker)[1] == streaming_out.split(marker)[1]
+        assert serial_out.split(marker)[1] == chunked_out.split(marker)[1]
 
 
 class TestGenerateSharded:
-    def test_sharded_generate_and_streaming_analyze(self, tmp_path, capsys):
+    def test_sharded_generate_and_analyze(self, tmp_path, capsys):
         path = tmp_path / "trace-v2"
         code = main(
             [
@@ -135,11 +152,12 @@ class TestGenerateSharded:
                 "analyze", str(path),
                 "--nv", "10000",
                 "--quantities", "source_fanout",
-                "--backend", "streaming",
             ]
         )
         assert code == 0
-        assert "backend=streaming" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "engine: backend=serial chunks=4 " in out
+        assert "note:" not in out
 
 
 class TestShmAndMmapFlags:
@@ -196,13 +214,13 @@ class TestShmAndMmapFlags:
         marker = "windows of N_V"
         assert outputs["pickle"].split(marker)[1] == outputs["shm"].split(marker)[1]
 
-    def test_streaming_backend_rejects_transport(self, npy_trace_dir, capsys):
+    def test_serial_backend_rejects_transport(self, npy_trace_dir, capsys):
         code = main(
             ["analyze", str(npy_trace_dir), "--nv", "10000",
-             "--backend", "streaming", "--payload-transport", "shm"]
+             "--backend", "serial", "--payload-transport", "shm"]
         )
         assert code == 2
-        assert "payload-transport" in capsys.readouterr().out
+        assert "payload_transport" in capsys.readouterr().out
 
     def test_detect_run_accepts_transport(self, capsys):
         code = main(
@@ -241,19 +259,19 @@ class TestScenarios:
         for name in ("stationary", "alpha-drift", "flash-crowd", "generator-mix"):
             assert name in out
 
-    def test_run_streaming_prints_phases_and_drift(self, capsys):
+    def test_run_chunked_prints_phases_and_drift(self, capsys):
         code = main(
             [
                 "scenarios", "run", "alpha-drift",
                 "--nv", "5000",
-                "--backend", "streaming",
+                "--backend", "serial",
                 "--chunk-packets", "9000",
                 "--quantities", "source_fanout",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend=streaming" in out
+        assert "backend=serial" in out
         assert "phase summary — source_fanout" in out
         assert "max adjacent-phase drift" in out
 
@@ -287,13 +305,13 @@ class TestDetect:
             [
                 "detect", "run", "alpha-drift",
                 "--nv", "2000",
-                "--backend", "streaming",
+                "--backend", "serial",
                 "--chunk-packets", "9000",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend=streaming" in out
+        assert "backend=serial" in out
         assert "true phase-boundary windows: 15 30" in out
         assert "alarms per detector" in out
         assert "evaluation vs ground truth" in out
@@ -319,10 +337,10 @@ class TestDetect:
         args = ["detect", "run", "flash-crowd", "--nv", "2000", "--seed", "3"]
         main(args)
         serial_out = capsys.readouterr().out
-        main([*args, "--backend", "streaming", "--chunk-packets", "7000"])
-        streaming_out = capsys.readouterr().out
+        main([*args, "--backend", "serial", "--chunk-packets", "7000"])
+        chunked_out = capsys.readouterr().out
         marker = "true phase-boundary windows"
-        assert serial_out.split(marker)[1] == streaming_out.split(marker)[1]
+        assert serial_out.split(marker)[1] == chunked_out.split(marker)[1]
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
@@ -381,10 +399,33 @@ class TestFailurePaths:
         self._assert_clean_error(capsys, code, *needles)
 
     @pytest.mark.parametrize("command", ["scenarios run", "detect run"])
-    def test_scenario_commands_reject_transport_on_streaming(self, capsys, command):
-        code = main([*command.split(), "stationary", "--backend", "streaming",
+    def test_scenario_commands_reject_transport_on_serial(self, capsys, command):
+        code = main([*command.split(), "stationary", "--backend", "serial",
                      "--payload-transport", "shm"])
-        self._assert_clean_error(capsys, code, "--payload-transport", "process backend")
+        self._assert_clean_error(capsys, code, "payload_transport", "process backend")
+
+    @pytest.mark.parametrize("flags,needles", [
+        (["--packets", "0"], ("n_packets", ">= 1")),
+        (["--nodes", "0"], ("n_nodes", ">= 10")),
+    ])
+    def test_generate_errors_are_one_line(self, tmp_path, capsys, flags, needles):
+        code = main(["generate", str(tmp_path / "t.npz"), "--nodes", "2000",
+                     "--packets", "20000", *flags])
+        self._assert_clean_error(capsys, code, *needles)
+        assert not (tmp_path / "t.npz").exists()
+
+    @pytest.mark.parametrize("nv,needles", [
+        ("0", ("n_valid", ">= 1")),
+        ("100000000", ("no complete windows",)),
+    ])
+    def test_fit_errors_are_one_line(self, trace_file, capsys, nv, needles):
+        code = main(["fit", str(trace_file), "--nv", nv])
+        self._assert_clean_error(capsys, code, *needles)
+
+    def test_campaign_run_negative_max_cells(self, tmp_path, capsys):
+        code = main(["campaign", "run", "--store", str(tmp_path / "s"),
+                     "--scenarios", "stationary", "--max-cells", "-1"])
+        self._assert_clean_error(capsys, code, "max_cells", ">= 0")
 
     def test_campaign_status_missing_store(self, tmp_path, capsys):
         missing = tmp_path / "nope"

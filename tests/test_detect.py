@@ -356,11 +356,12 @@ class TestScenarioIntegration:
         process = repro.analyze_scenario(
             "flash-crowd", 2_000, backend="process", n_workers=2, **kwargs
         )
-        streaming = repro.analyze_scenario(
-            "flash-crowd", 2_000, backend="streaming", chunk_packets=7_000, **kwargs
+        chunked = repro.analyze_scenario(
+            "flash-crowd", 2_000, backend="serial", chunk_packets=7_000, keep_windows=False,
+            **kwargs,
         )
         assert serial.detection.alarms == process.detection.alarms
-        assert serial.detection.alarms == streaming.detection.alarms
+        assert serial.detection.alarms == chunked.detection.alarms
 
 
 class TestCampaignIntegration:

@@ -82,24 +82,27 @@ class TestInvariance:
         )
         chunked = repro.analyze_scenario(
             "flash-crowd", N_VALID, seed=seed, detectors=DETECTOR_NAMES,
-            backend="streaming", chunk_packets=chunk_packets,
+            backend="serial", chunk_packets=chunk_packets, keep_windows=False,
         )
         assert chunked.detection.alarms == reference.detection.alarms
 
     @given(seed=st.integers(min_value=0, max_value=7))
     @settings(deadline=None)
-    def test_alarms_identical_across_all_three_backends(self, seed):
+    def test_alarms_identical_across_backends_and_chunking(self, seed):
         runs = {
-            backend: repro.analyze_scenario(
-                "alpha-drift", N_VALID, seed=seed, detectors=DETECTOR_NAMES,
-                backend=backend,
-                **({"n_workers": 2} if backend == "process" else {}),
-                **({"chunk_packets": 9_000} if backend == "streaming" else {}),
+            label: repro.analyze_scenario(
+                "alpha-drift", N_VALID, seed=seed, detectors=DETECTOR_NAMES, **kwargs
             )
-            for backend in ("serial", "process", "streaming")
+            for label, kwargs in {
+                "serial": {"backend": "serial"},
+                "process": {"backend": "process", "n_workers": 2},
+                "serial-chunked": {
+                    "backend": "serial", "chunk_packets": 9_000, "keep_windows": False,
+                },
+            }.items()
         }
         assert (
             runs["serial"].detection.alarms
             == runs["process"].detection.alarms
-            == runs["streaming"].detection.alarms
+            == runs["serial-chunked"].detection.alarms
         )

@@ -223,15 +223,16 @@ class TestScenarioTraceSource:
 
 
 class TestAnalyzeScenario:
-    def test_streaming_buffering_bounded_by_chunk(self):
-        """Acceptance criterion: `scenarios run alpha-drift --backend streaming`
+    def test_buffering_bounded_by_chunk(self):
+        """Acceptance criterion: `scenarios run alpha-drift --chunk-packets N`
         keeps peak buffering bounded by chunk_packets (plus one window span)."""
         chunk_packets, n_valid = 6_000, 3_000
         run = analyze_scenario(
-            "alpha-drift", n_valid, seed=0, backend="streaming", chunk_packets=chunk_packets
+            "alpha-drift", n_valid, seed=0, backend="serial", chunk_packets=chunk_packets,
+            keep_windows=False,
         )
         stats = run.engine_stats
-        assert stats["backend"] == "streaming"
+        assert stats["backend"] == "serial"
         assert stats["scenario"] == "alpha-drift"
         # invalid-free scenario: a window spans ~n_valid packets; the buffer
         # holds at most one chunk plus the leftover of an incomplete window
@@ -241,33 +242,34 @@ class TestAnalyzeScenario:
         assert run.analysis.windows == ()
         assert run.analysis.n_windows == run.phases.n_windows
 
-    def test_streaming_defaults_chunk_to_block(self):
-        run = analyze_scenario("stationary", 5_000, seed=0, backend="streaming",
-                               block_packets=7_000)
+    def test_unchunked_buffering_bounded_by_block(self):
+        """Without chunk_packets the source yields one chunk per generation
+        block, so buffering is bounded by the block size on every backend."""
+        run = analyze_scenario("stationary", 5_000, seed=0, block_packets=7_000)
         assert run.engine_stats["max_buffered_packets"] <= 7_000 + 2 * 5_000
 
     @pytest.mark.parametrize("name", BUILTIN_SCENARIO_NAMES)
     def test_all_builtins_backend_identical(self, name):
         """Acceptance criterion: every built-in scenario produces
-        backend-identical pooled output (serial vs streaming; the golden
+        chunking-identical pooled output (serial vs chunked serial; the golden
         harness additionally covers the process backend)."""
         serial = analyze_scenario(name, 5_000, seed=11, backend="serial")
-        streaming = analyze_scenario(name, 5_000, seed=11, backend="streaming",
-                                     chunk_packets=9_000)
-        assert serial.analysis.n_windows == streaming.analysis.n_windows
+        chunked = analyze_scenario(name, 5_000, seed=11, backend="serial",
+                                   chunk_packets=9_000, keep_windows=False)
+        assert serial.analysis.n_windows == chunked.analysis.n_windows
         for quantity in QUANTITY_NAMES:
-            a, b = serial.analysis.pooled(quantity), streaming.analysis.pooled(quantity)
+            a, b = serial.analysis.pooled(quantity), chunked.analysis.pooled(quantity)
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.sigma, b.sigma)
             assert a.total == b.total
         np.testing.assert_array_equal(
-            serial.phases.window_phase, streaming.phases.window_phase
+            serial.phases.window_phase, chunked.phases.window_phase
         )
         for phase in serial.phases.occupied_phases():
             for quantity in QUANTITY_NAMES:
                 assert np.array_equal(
                     serial.phases.pooled(phase, quantity).values,
-                    streaming.phases.pooled(phase, quantity).values,
+                    chunked.phases.pooled(phase, quantity).values,
                 )
 
     def test_stationary_control_has_zero_drift(self):

@@ -4,7 +4,7 @@ Extends the backend-equivalence coverage of ``test_streaming_engine.py`` to
 *non-stationary* input: for the ``stationary`` and ``alpha-drift`` scenarios
 under a fixed seed, the pooled mean/σ vectors (and the window→phase
 attribution) are pinned in ``tests/golden/scenario_*.json``, and the serial,
-process, and streaming backends must all reproduce them **bit-identically**
+process, and chunked-serial runs must all reproduce them **bit-identically**
 — JSON stores Python float ``repr``\\ s, which round-trip float64 exactly,
 so equality here is equality of bits, not of approximations.
 
@@ -31,7 +31,9 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SEED = 20210329
 N_VALID = 5_000
 GOLDEN_SCENARIOS = ("stationary", "alpha-drift")
-BACKENDS = ("serial", "process", "streaming")
+#: ``serial-chunked`` is the serial backend fed 9,000-packet chunks: the
+#: chunking-invariance entry.
+BACKENDS = ("serial", "process", "serial-chunked")
 
 
 def _golden_path(name: str) -> Path:
@@ -42,8 +44,8 @@ def _run(name: str, backend: str):
     kwargs = {"backend": backend, "keep_windows": False}
     if backend == "process":
         kwargs["n_workers"] = 2
-    if backend == "streaming":
-        kwargs["chunk_packets"] = 9_000
+    if backend == "serial-chunked":
+        kwargs.update(backend="serial", chunk_packets=9_000)
     return analyze_scenario(name, N_VALID, seed=SEED, **kwargs)
 
 

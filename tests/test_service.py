@@ -80,6 +80,8 @@ class TestJobConfig:
             ({"name": "t", "window": {"mode": "psychic"}}, "window.mode"),
             ({"name": "t", "window": {"quantities": ["nope"]}}, "window.quantities"),
             ({"name": "t", "window": {"quantities": []}}, "window.quantities"),
+            ({"name": "t", "window": {"quantities": ["source_fanout", "source_fanout"]}},
+             "duplicate quantity"),
             ({"name": "t", "detection": {"detectors": ["nope"]}}, "detection.detectors"),
             ({"name": "t", "detection": {"quantity": "source_fanout"}}, "detection.quantity"),
             ({"name": "t", "source": {"scenario": "no-such"}}, "source.scenario"),

@@ -21,7 +21,6 @@ from repro.streaming.parallel import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    StreamingBackend,
     default_worker_count,
     get_backend,
     shared_pool,
@@ -289,7 +288,7 @@ class TestBackends:
             assert backend.name == name
         assert get_backend(None).name == "serial"
         assert get_backend(None, n_workers=2).name == "process"
-        instance = StreamingBackend()
+        instance = SerialBackend()
         assert get_backend(instance) is instance
         with pytest.raises(ValueError):
             get_backend("gpu")
@@ -309,7 +308,7 @@ class TestBackends:
         assert next(results) == 0
         assert consumed == [0]
 
-    def test_streaming_backend_bounds_live_items(self):
+    def test_serial_backend_never_reads_ahead(self):
         live = []
 
         def producer():
@@ -317,52 +316,30 @@ class TestBackends:
                 live.append(i)
                 yield i
 
-        backend = StreamingBackend()
-        assert isinstance(backend, SerialBackend) and backend.name == "streaming"
-        results = backend.map(lambda x: x, producer())
+        results = SerialBackend().map(lambda x: x, producer())
         assert live == []  # lazy: nothing is read before the first next()
         for i, result in enumerate(results):
             assert result == i
             # the input is never read ahead of the consumer
             assert len(live) == i + 1
 
-    def test_streaming_backend_propagates_producer_error(self):
+    def test_serial_backend_propagates_producer_error(self):
         def producer():
             yield 1
             raise RuntimeError("disk on fire")
 
-        results = StreamingBackend().map(lambda x: x, producer())
+        results = SerialBackend().map(lambda x: x, producer())
         assert next(results) == 1
         with pytest.raises(RuntimeError, match="disk on fire"):
             next(results)
 
-    @staticmethod
-    def _prefetch_threads():
-        import threading
-
-        return [t for t in threading.enumerate() if t.name == "repro-prefetch"]
-
-    def test_streaming_backend_no_thread_leak_on_consumer_error(self):
+    def test_serial_backend_propagates_consumer_error(self):
         def boom(x):
             raise ValueError("analysis failed")
 
-        results = StreamingBackend().map(boom, iter(range(100)))
+        results = SerialBackend().map(boom, iter(range(100)))
         with pytest.raises(ValueError, match="analysis failed"):
             next(results)
-        deadline = time.time() + 5.0
-        while self._prefetch_threads() and time.time() < deadline:
-            time.sleep(0.01)
-        assert not self._prefetch_threads()
-
-    def test_streaming_backend_no_thread_leak_on_abandoned_iterator(self):
-        results = StreamingBackend().map(lambda x: x, iter(range(100)))
-        assert next(results) == 0
-        assert not self._prefetch_threads()
-        results.close()  # abandon mid-stream (what GC does to a dropped iterator)
-        deadline = time.time() + 5.0
-        while self._prefetch_threads() and time.time() < deadline:
-            time.sleep(0.01)
-        assert not self._prefetch_threads()
 
     def test_process_backend_streams_in_order(self, small_trace):
         windows = list(iter_windows(small_trace, 20_000))
@@ -377,20 +354,18 @@ class TestBackends:
         assert len(results) == 1
         assert any("downgrading to serial" in message for message in caplog.messages)
 
-    def test_streaming_backend_logs_blocked_producer_and_dropped_error(self):
-        """The alias reads its input in the consumer's own thread: a blocked
-        input blocks ``next()`` — no thread is left pinned behind the map —
-        and the input's late error surfaces there instead of being dropped."""
+    def test_serial_backend_surfaces_late_producer_error(self):
+        """The serial map reads its input in the consumer's own thread: a
+        blocked input blocks ``next()``, and the input's late error surfaces
+        there instead of being dropped."""
         release = threading.Event()
-        threads_while_blocked = []
 
         def producer():
             yield 0
-            threads_while_blocked.extend(self._prefetch_threads())
             release.wait(30)  # the "input iterator blocked in I/O" case
             raise RuntimeError("late disk failure")
 
-        results = StreamingBackend().map(lambda x: x, producer())
+        results = SerialBackend().map(lambda x: x, producer())
         assert next(results) == 0
         timer = threading.Timer(0.2, release.set)
         timer.start()
@@ -399,8 +374,6 @@ class TestBackends:
                 next(results)
         finally:
             timer.cancel()
-        assert threads_while_blocked == []
-        assert not self._prefetch_threads()
 
     def test_payload_transport_validation(self):
         from repro.streaming.shm import TRANSPORT_NAMES
@@ -410,8 +383,6 @@ class TestBackends:
         assert get_backend(None, n_workers=2, payload_transport="pickle").payload_transport == "pickle"
         with pytest.raises(ValueError, match="payload_transport"):
             get_backend("serial", payload_transport="shm")
-        with pytest.raises(ValueError, match="payload_transport"):
-            get_backend("streaming", payload_transport="pickle")
         with pytest.raises(ValueError, match="ProcessBackend constructor"):
             get_backend(SerialBackend(), payload_transport="shm")
         with pytest.raises(ValueError, match="unknown payload_transport"):
@@ -439,9 +410,12 @@ class TestBackendEquivalence:
     def serial_analysis(self, small_trace):
         return analyze_trace(small_trace, 20_000, backend="serial")
 
-    @pytest.mark.parametrize("backend", ["process", "streaming"])
-    def test_pooled_bit_identical(self, small_trace, serial_analysis, backend):
-        analysis = analyze_trace(small_trace, 20_000, backend=backend, n_workers=2)
+    @pytest.mark.parametrize("backend,kwargs", [
+        ("process", {"n_workers": 2}),
+        ("serial", {"keep_windows": False}),
+    ])
+    def test_pooled_bit_identical(self, small_trace, serial_analysis, backend, kwargs):
+        analysis = analyze_trace(small_trace, 20_000, backend=backend, **kwargs)
         assert analysis.n_windows == serial_analysis.n_windows
         for quantity in QUANTITY_NAMES:
             expected = serial_analysis.pooled(quantity)
@@ -452,7 +426,9 @@ class TestBackendEquivalence:
             assert expected.total == got.total
 
     def test_chunked_input_bit_identical(self, small_trace, serial_analysis):
-        analysis = analyze_trace(small_trace, 20_000, backend="streaming", chunk_packets=7_000)
+        analysis = analyze_trace(
+            small_trace, 20_000, backend="serial", chunk_packets=7_000, keep_windows=False
+        )
         for quantity in QUANTITY_NAMES:
             assert np.array_equal(
                 serial_analysis.pooled(quantity).values, analysis.pooled(quantity).values
@@ -497,10 +473,10 @@ class TestStreamingAnalyzeTrace:
         n_valid = 5_000
         path = save_trace_sharded(small_trace, tmp_path / "big", shard_packets=10_000)
         analysis = analyze_trace(
-            path, n_valid, backend="streaming", chunk_packets=chunk_packets
+            path, n_valid, backend="serial", chunk_packets=chunk_packets, keep_windows=False
         )
         stats = analysis.engine_stats
-        assert stats["backend"] == "streaming"
+        assert stats["backend"] == "serial"
         # the trace (120k packets) vastly exceeds the buffer bound:
         # one chunk + the leftover of an incomplete window (< window span)
         window_span = 2 * n_valid  # generous: windows here are all-valid
@@ -534,7 +510,7 @@ class TestStreamingAnalyzeTrace:
         caller's own chunks are far larger than the budget."""
         oversized = small_trace.iter_chunks(60_000)  # two huge chunks
         analysis = analyze_trace(
-            oversized, 10_000, backend="streaming", chunk_packets=5_000
+            oversized, 10_000, backend="serial", chunk_packets=5_000, keep_windows=False
         )
         stats = analysis.engine_stats
         assert stats["max_buffered_packets"] <= 5_000 + 2 * 10_000
@@ -545,23 +521,6 @@ class TestStreamingAnalyzeTrace:
                 baseline.pooled(quantity).values, analysis.pooled(quantity).values
             )
 
-    def test_max_windows_with_streaming(self, small_trace):
-        analysis = analyze_trace(
-            small_trace, 10_000, backend="streaming", chunk_packets=8_000, max_windows=3
-        )
-        assert analysis.n_windows == 3
-
-    @pytest.mark.parametrize("max_windows,error", [
-        (-1, ValueError),
-        (0, ValueError),
-        (1.5, TypeError),
-        (True, TypeError),
-        ("2", TypeError),
-    ])
-    def test_max_windows_validated(self, small_trace, max_windows, error):
-        with pytest.raises(error, match="max_windows"):
-            analyze_trace(small_trace, 20_000, max_windows=max_windows)
-
     def test_invalid_trace_type_rejected(self):
         with pytest.raises(TypeError):
             analyze_trace(42, 100)
@@ -570,11 +529,12 @@ class TestStreamingAnalyzeTrace:
         with pytest.raises(ValueError, match="no complete windows"):
             analyze_trace(iter([]), 100)
 
-    def test_keep_windows_override(self, small_trace):
-        kept = analyze_trace(
-            small_trace, 20_000, backend="streaming", keep_windows=True
-        )
+    def test_keep_windows_is_the_retention_switch(self, small_trace):
+        kept = analyze_trace(small_trace, 20_000, chunk_packets=7_000)
         assert len(kept.windows) == kept.n_windows
+        dropped = analyze_trace(small_trace, 20_000, chunk_packets=7_000, keep_windows=False)
+        assert dropped.windows == ()
+        assert dropped == kept
 
 
 class TestWindowedAnalysisProducts:
@@ -622,17 +582,17 @@ class TestWindowedAnalysisProducts:
         """Regression: streamed analyses (windows=()) of different traces
         must not compare equal just because the dataclass fields match."""
         other_trace = PacketTrace(small_trace.packets[:60_000])
-        a = analyze_trace(small_trace, 20_000, backend="streaming")
-        b = analyze_trace(other_trace, 20_000, backend="streaming")
+        a = analyze_trace(small_trace, 20_000, keep_windows=False)
+        b = analyze_trace(other_trace, 20_000, keep_windows=False)
         assert a != b
-        same = analyze_trace(small_trace, 20_000, backend="serial", keep_windows=False)
+        same = analyze_trace(small_trace, 20_000, backend="serial")
         assert a == same
         assert a != "not an analysis"
         assert len({a, same}) == 1  # hashable, and hash consistent with __eq__
 
     def test_equality_sees_sigma(self, small_trace):
-        a = analyze_trace(small_trace, 20_000, backend="streaming")
-        b = analyze_trace(small_trace, 20_000, backend="streaming")
+        a = analyze_trace(small_trace, 20_000, keep_windows=False)
+        b = analyze_trace(small_trace, 20_000, keep_windows=False)
         assert a == b
         # forge an analysis whose means match but σ differs: must not be equal
         state = b._stream
@@ -676,6 +636,10 @@ class TestStreamAnalyzerDirect:
         with pytest.raises(ValueError):
             StreamAnalyzer(100, quantities=("bogus",))
 
+    def test_duplicate_quantity_rejected(self):
+        with pytest.raises(ValueError, match="duplicate quantities"):
+            StreamAnalyzer(100, quantities=("source_fanout", "source_fanout"))
+
 
 class TestWindowBatching:
     """The batched execution paths: payload batches, stream batches, pools."""
@@ -690,7 +654,7 @@ class TestWindowBatching:
     @pytest.mark.parametrize("backend,kwargs", [
         ("serial", {}),
         ("process", {"n_workers": 2}),
-        ("streaming", {"chunk_packets": 40_000}),
+        ("serial", {"chunk_packets": 40_000}),
     ])
     def test_batch_size_never_changes_results(self, small_trace, monkeypatch, backend, kwargs, mode):
         # 10_000 packs every window into one task, which the process map
@@ -868,10 +832,6 @@ class TestWorkerCountPolicy:
                 "repro.streaming.parallel.usable_cpu_count", lambda cpus=cpus: cpus
             )
             assert default_worker_count() > 1
-
-    def test_maximum_still_caps(self, monkeypatch):
-        monkeypatch.setattr("repro.streaming.parallel.usable_cpu_count", lambda: 64)
-        assert default_worker_count(maximum=4) == 4
 
 
 def _reciprocal(x):

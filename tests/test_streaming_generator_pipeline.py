@@ -113,7 +113,6 @@ class TestParallelMap:
 
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
-        assert default_worker_count(maximum=4) <= 4
 
 
 class TestPipeline:
@@ -134,10 +133,6 @@ class TestPipeline:
     def test_no_complete_window_rejected(self, small_trace):
         with pytest.raises(ValueError):
             analyze_trace(small_trace, 10**9)
-
-    def test_max_windows_cap(self, small_trace):
-        analysis = analyze_trace(small_trace, 20_000, max_windows=2)
-        assert analysis.n_windows == 2
 
     def test_pooled_probability_conserved(self, small_trace):
         analysis = analyze_trace(small_trace, 30_000)

@@ -315,7 +315,7 @@ class TestSketchModeEngine:
         for kwargs in (
             {"backend": "serial"},
             {"backend": "process", "n_workers": 2},
-            {"backend": "streaming", "chunk_packets": 7_000},
+            {"backend": "serial", "chunk_packets": 7_000, "keep_windows": False},
         ):
             other = analyze_trace(trace, 5_000, mode="sketch", **kwargs)
             assert other.sketch == reference.sketch, kwargs
