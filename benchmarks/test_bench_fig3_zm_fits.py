@@ -32,7 +32,7 @@ def test_fig3_single_panel(run_once):
 
 
 def test_fig3_full_sweep(run_once):
-    rows = run_once(run_fig3, n_workers=4)
+    rows = run_once(run_fig3)
     assert len(rows) == len(FIG3_SCENARIOS)
     # the ZM model must beat the single-exponent baseline on every panel
     assert all(r["zm_log_mse"] <= r["powerlaw_log_mse"] for r in rows)

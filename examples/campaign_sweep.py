@@ -1,19 +1,16 @@
 #!/usr/bin/env python
 """Campaign sweep walkthrough: grids, the result store, resume, and reports.
 
-PR 1 made one run fast and PR 2 made workloads declarative; campaigns make
-*fleets* of runs cheap to own.  This example:
+Campaigns make *fleets* of runs cheap to own.  This example:
 
-1. declares a campaign — a grid of scenarios × seeds × backends — and runs
-   it cold into an on-disk content-addressed result store,
+1. declares a campaign — a grid of scenarios × seeds — and runs it cold
+   into an on-disk content-addressed result store, computing whole cells
+   in parallel on a process pool,
 2. re-runs the identical campaign and shows that **nothing** is recomputed
    (every cell is a warm O(read) hit),
 3. simulates an interrupted sweep with ``max_cells`` and shows the next run
-   resuming exactly the missing cells,
-4. shows that cells differing only in execution backend share one stored
-   result — the engine's cross-backend bit-identity guarantee doing real
-   work — and
-5. assembles the cross-seed comparison report from the store alone.
+   resuming exactly the missing cells, and
+4. assembles the cross-seed comparison report from the store alone.
 
 Run with ``python examples/campaign_sweep.py``.
 """
@@ -36,18 +33,15 @@ def main() -> None:
         scenarios=("stationary", "alpha-drift", "flash-crowd"),
         seeds=(0, 1, 2),
         n_valids=(scaled(5_000, 500),),
-        backends=("serial", "process"),
         chunk_packets=scaled(10_000, 1_000),
         description="does the drift statistic separate regimes across seeds?",
     )
-    print(f"campaign {campaign.name!r}: {campaign.n_cells} cells, "
-          f"{len(campaign.unique_keys())} unique results "
-          "(the backend axis shares results — bit-identity at work)")
+    print(f"campaign {campaign.name!r}: {campaign.n_cells} cells")
 
     with tempfile.TemporaryDirectory() as tmp:
         store = os.path.join(tmp, "results")
 
-        # 1. cold sweep: every unique cell is computed and persisted as it
+        # 1. cold sweep: every cell is computed and persisted as it
         #    finishes (atomically — a kill loses at most the cell in flight)
         cold = run_campaign(campaign, store, pool="process")
         print(f"\ncold run:   computed {cold.n_computed}, cached {cold.n_cached}")
@@ -63,9 +57,9 @@ def main() -> None:
         print(f"interrupted: computed {partial.n_computed}, skipped {partial.n_skipped}; "
               f"resume computed {resumed.n_computed} (only the missing cells)")
 
-        # 4+5. the report is assembled from the store alone — and because it
-        #      is a pure function of stored results, re-rendering a finished
-        #      campaign is byte-identical
+        # 4. the report is assembled from the store alone — and because it
+        #    is a pure function of stored results, re-rendering a finished
+        #    campaign is byte-identical
         report = CampaignReport.from_store(store, "drift-sweep")
         print()
         print(report.render("source_fanout"))

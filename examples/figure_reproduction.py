@@ -61,7 +61,7 @@ def main() -> None:
     print(format_table(run_fig2()))
 
     section("Figure 3 — measured distributions and Zipf-Mandelbrot fits")
-    print(format_table(run_fig3(limit=fig3_limit, n_workers=4)))
+    print(format_table(run_fig3(limit=fig3_limit)))
 
     section("Figure 4 — PALU curve families converging to Zipf-Mandelbrot")
     print(format_table(run_fig4()))

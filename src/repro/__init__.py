@@ -19,8 +19,8 @@ The package is organised into five subpackages:
   scenarios (drifting exponents, flash crowds, changing graph families)
   emitted as lazy chunk streams through the single-pass engine.
 * :mod:`repro.campaigns` — sweep orchestration: parameter grids over
-  scenarios × seeds × backends, expanded into content-hashed run specs,
-  executed through the engine's backend pool, and persisted in an on-disk
+  scenarios × seeds × window sizes × modes, expanded into content-hashed
+  run specs, fanned out across a process pool, and persisted in an on-disk
   result store so finished cells are never recomputed.
 * :mod:`repro.detect` — online drift detection: streaming change-point
   detectors (EWMA / CUSUM / Page–Hinkley) riding the single-pass engine in

@@ -1,21 +1,18 @@
 """Campaign orchestration: declarative sweeps over a content-addressed store.
 
-PR 1 made single runs fast and PR 2 made workloads declarative; this
-subpackage makes *fleets* of runs cheap to own.  A
+This subpackage makes *fleets* of runs cheap to own.  A
 :class:`~repro.campaigns.spec.Campaign` expands a parameter grid (scenarios
-× seeds × window sizes × backends) into content-hashed
-:class:`~repro.campaigns.spec.RunSpec` cells; the runner fans them out
-through the engine's execution backends and persists every result in an
+× seeds × window sizes × modes) into content-hashed
+:class:`~repro.campaigns.spec.RunSpec` cells, one per key; the runner
+computes each cell on the serial window map — fanning cells out across
+worker processes with ``pool="process"`` — and persists every result in an
 on-disk :class:`~repro.campaigns.store.ResultStore` keyed by the spec hash.
 Consequences:
 
 * re-running a finished campaign recomputes **nothing** — every cell is a
   warm O(read) hit, and the assembled report is byte-identical;
 * a killed sweep resumes where it stopped: completed cells were persisted
-  atomically as they finished, so only the missing ones run;
-* cells that differ only in execution backend share one result (the
-  engine's bit-identity guarantee, now load-bearing: the content key simply
-  omits execution knobs).
+  atomically as they finished, so only the missing ones run.
 
 Quickstart::
 
@@ -26,7 +23,6 @@ Quickstart::
         scenarios=("stationary", "alpha-drift"),
         seeds=(0, 1, 2),
         n_valids=(5_000,),
-        backends=("serial",),
         chunk_packets=10_000,
     )
     run = run_campaign(campaign, "results-store", pool="process")

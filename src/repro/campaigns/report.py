@@ -9,8 +9,8 @@ text: the property the warm-path test pins down.
 
 Three tables:
 
-* **cells** — one row per grid cell: who computed it, how many windows,
-  the head probability ``D(d=1)``, and the max adjacent-phase drift;
+* **cells** — one row per grid cell: how many windows, the head
+  probability ``D(d=1)``, and the max adjacent-phase drift;
 * **summary** — per (scenario, N_V) group across seeds: mean/σ of the
   pooled head probability and the drift statistic (the cross-seed view the
   grid exists to produce);
@@ -43,6 +43,9 @@ def fleet_status_rows(
     stays O(cells); ``leased``/``stale`` age each missing key's lease
     against *ttl*.  ``retried`` counts stored cells whose recorded attempt
     count exceeds 1 — work a retry budget (``--cell-retries``) rescued.
+    ``cells`` counts distinct content keys, so a manifest that lists one
+    key twice (stores written while grids had a backend axis) counts it
+    once.
     """
     rows = []
     for name in names:
@@ -71,8 +74,7 @@ def fleet_status_rows(
         rows.append(
             {
                 "campaign": name,
-                "cells": len(manifest["cells"]),
-                "unique": len(keys),
+                "cells": len(keys),
                 "stored": stored,
                 "retried": retried,
                 "leased": leased,
@@ -137,7 +139,7 @@ class CampaignReport:
         The recorded campaign manifest (name, description, expanded cells).
     results:
         Stored :class:`~repro.scenarios.run.ScenarioRun` payloads keyed by
-        content key — one entry per *unique* key, shared by duplicate cells.
+        content key.
     missing:
         Content keys the manifest lists but the store does not hold yet
         (an interrupted sweep); their cells render with empty metrics.
@@ -161,10 +163,9 @@ class CampaignReport:
         results: dict[str, object] = {}
         attempts: dict[str, int] = {}
         missing = []
-        for cell in manifest["cells"]:
-            key = cell["key"]
-            if key in results or key in missing:
-                continue
+        # a manifest may list one key twice (stores written while grids had
+        # a backend axis); read each key once
+        for key in dict.fromkeys(cell["key"] for cell in manifest["cells"]):
             try:
                 # one verified read per cell; a torn/corrupt/undecodable
                 # cell reports as missing rather than crashing the report
@@ -192,7 +193,6 @@ class CampaignReport:
                 "seed": cell["seed"],
                 "nv": cell["n_valid"],
                 "mode": cell.get("mode", "exact"),
-                "backend": cell["backend"],
             }
             run = self.results.get(cell["key"])
             if run is None:
@@ -214,24 +214,20 @@ class CampaignReport:
 
     def summary_rows(self, quantity: str) -> list[dict]:
         """Cross-seed aggregation per (scenario, N_V, mode) group, in grid order."""
-        groups: dict[tuple[str, int, str], list] = {}
+        groups: dict[tuple[str, int, str], dict[int, object]] = {}
         for cell in self.manifest["cells"]:
             run = self.results.get(cell["key"])
             if run is None:
                 continue
-            group = groups.setdefault(
-                (cell["scenario"], cell["n_valid"], cell.get("mode", "exact")), []
-            )
-            # duplicate cells (same key under several backends) share one
-            # stored run; count each distinct seed once per group
-            if any(seen_seed == cell["seed"] for seen_seed, _ in group):
-                continue
-            group.append((cell["seed"], run))
+            # keyed by seed: a key listed twice (old stores) counts once
+            groups.setdefault(
+                (cell["scenario"], cell["n_valid"], cell.get("mode", "exact")), {}
+            )[cell["seed"]] = run
         rows = []
         for (scenario, n_valid, mode), members in groups.items():
             heads = []
             drifts = []
-            for _, run in members:
+            for run in members.values():
                 pooled = run.analysis.pooled(quantity)
                 heads.append(float(pooled.values[0]) if pooled.n_bins else 0.0)
                 drifts.append(run.phases.max_drift(quantity))
@@ -252,7 +248,7 @@ class CampaignReport:
         return rows
 
     def engine_rows(self) -> list[dict]:
-        """Engine statistics of each unique stored run, in key order."""
+        """Engine statistics of each stored run, in key order."""
         rows = []
         for key in sorted(self.results):
             stats = self.results[key].engine_stats

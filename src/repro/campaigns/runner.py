@@ -8,18 +8,16 @@ contract:
 
 * a cell whose content key is already in the store is **never recomputed**
   — a warm re-run of a finished campaign costs one read per cell;
-* cells that share a content key (e.g. the same scenario listed under two
-  backends) are computed once and resolved as deduplicated hits;
 * every completed cell is persisted atomically *as it finishes*, so killing
   a sweep loses at most the cells in flight — re-running the campaign
   resumes with exactly the missing cells;
 * a cell whose analysis **raises** becomes a ``status="failed"`` outcome —
   the exception is contained, the rest of the grid still computes, and the
   failure (with its error text) is reported instead of aborting the sweep;
-* run-level fan-out reuses the engine's
+* each cell runs the engine's serial window map; the one parallelism knob
+  is run-level fan-out through the engine's
   :class:`~repro.streaming.parallel.ExecutionBackend` pool (``pool=
-  "process"`` computes independent cells on worker processes), the same
-  substrate PR 1 built for window-level fan-out.
+  "process"`` computes independent cells on worker processes).
 
 **Fleets.**  The store doubles as the scheduler: N ``run_campaign(...,
 workers=N, worker_index=k)`` processes — or N machines on a shared
@@ -27,7 +25,7 @@ filesystem — sweep one grid with no coordinator.  Each worker claims a
 cell by taking its lease (``O_EXCL`` file create, see
 :mod:`repro.campaigns.store`), heartbeats while computing, and releases on
 completion.  The first pass is deterministically sharded (worker *k* owns
-every *k*-th missing unique key), so a healthy fleet never contends; the
+every *k*-th missing cell), so a healthy fleet never contends; the
 tail is **work-stealing** — each worker sweeps the remaining missing keys,
 taking over leases whose heartbeat went stale (dead workers) and waiting
 out live ones, until every key is stored or failed.  Convergence needs no
@@ -79,11 +77,10 @@ class CellOutcome:
     """What happened to one grid cell during a campaign run.
 
     ``status`` is one of ``"computed"`` (freshly analysed and stored),
-    ``"cached"`` (complete in the store before the run — including cells
-    deduplicated against an identical cell computed earlier in the same
-    run), ``"failed"`` (the cell's analysis raised; ``error`` holds the
-    one-line reason and nothing was stored), or ``"skipped"`` (left for
-    later by a ``max_cells`` cap).  ``seconds`` is the compute time for
+    ``"cached"`` (complete in the store before the run, or stored by
+    another fleet member during it), ``"failed"`` (the cell's analysis
+    raised; ``error`` holds the one-line reason and nothing was stored), or
+    ``"skipped"`` (left for later by a ``max_cells`` cap).  ``seconds`` is the compute time for
     freshly computed cells and ``None`` otherwise; ``n_windows`` is
     ``None`` for skipped and failed cells — and for cached cells whose
     stored record predates window-count recording (e.g. written by
@@ -98,7 +95,6 @@ class CellOutcome:
     scenario: str
     seed: int
     n_valid: int
-    backend: str
     status: str
     mode: str = "exact"
     seconds: Optional[float] = None
@@ -113,7 +109,6 @@ class CellOutcome:
             "seed": self.seed,
             "nv": self.n_valid,
             "mode": self.mode,
-            "backend": self.backend,
             "status": self.status,
             "seconds": "" if self.seconds is None else round(self.seconds, 3),
             "windows": "" if self.n_windows is None else self.n_windows,
@@ -142,7 +137,7 @@ class CampaignRun:
 
     @property
     def n_cached(self) -> int:
-        """Cells satisfied from the store (warm hits + in-run dedup)."""
+        """Cells satisfied from the store (warm hits)."""
         return sum(1 for o in self.outcomes if o.status == "cached")
 
     @property
@@ -162,22 +157,16 @@ class CampaignRun:
 
     @property
     def failures(self) -> tuple[CellOutcome, ...]:
-        """The failed outcomes, in grid order (one per affected cell)."""
+        """The failed outcomes, in grid order."""
         return tuple(o for o in self.outcomes if o.status == "failed")
 
     def failure_lines(self) -> list[str]:
-        """One human-readable line per failed *unique* cell."""
-        lines = []
-        seen: set[str] = set()
-        for outcome in self.failures:
-            if outcome.key in seen:
-                continue
-            seen.add(outcome.key)
-            lines.append(
-                f"failed {outcome.scenario} seed={outcome.seed} nv={outcome.n_valid} "
-                f"mode={outcome.mode} [{outcome.key[:12]}]: {outcome.error}"
-            )
-        return lines
+        """One human-readable line per failed cell."""
+        return [
+            f"failed {outcome.scenario} seed={outcome.seed} nv={outcome.n_valid} "
+            f"mode={outcome.mode} [{outcome.key[:12]}]: {outcome.error}"
+            for outcome in self.failures
+        ]
 
     def as_rows(self) -> list[dict]:
         """Per-cell outcome rows, in grid order."""
@@ -257,8 +246,6 @@ def _claim_and_compute_cell(
                     spec.n_valid,
                     seed=spec.seed,
                     quantities=spec.quantities,
-                    backend=spec.backend,
-                    n_workers=spec.n_workers,
                     chunk_packets=spec.chunk_packets,
                     block_packets=spec.block_packets,
                     keep_windows=False,
@@ -322,9 +309,8 @@ def run_campaign(
     pool:
         Run-level fan-out backend: ``None``/``"serial"`` computes cells one
         by one; ``"process"`` distributes independent cells across worker
-        processes.  Cells whose own ``backend`` is ``"process"`` cannot run
-        under a process pool (worker processes may not spawn pools of their
-        own); use serial cell backends when fanning out.
+        processes.  This is the campaign's one parallelism knob: every cell
+        runs the serial window map.
     pool_workers:
         Worker count for ``pool="process"``.
     max_cells:
@@ -397,18 +383,7 @@ def run_campaign(
 
     store = store if isinstance(store, ResultStore) else ResultStore(store)
     cells = campaign.cells()
-
-    # one spec per unique key, in grid order (first appearance wins)
-    unique_specs: list[RunSpec] = []
-    seen_keys: set[str] = set()
-    for spec in cells:
-        if spec.key not in seen_keys:
-            unique_specs.append(spec)
-            seen_keys.add(spec.key)
-    if recompute:
-        targets = list(unique_specs)
-    else:
-        targets = [spec for spec in unique_specs if spec.key not in store]
+    targets = list(cells) if recompute else [spec for spec in cells if spec.key not in store]
 
     budget = None if max_cells is None else int(max_cells)
 
@@ -416,12 +391,6 @@ def run_campaign(
     # n_workers > 1" inference of get_backend(None, ...); fan-out across
     # processes must be an explicit pool="process" choice
     pool_backend = get_backend(pool or "serial", n_workers=pool_workers)
-    if pool_backend.name == "process" and any(spec.backend == "process" for spec in targets):
-        raise ValueError(
-            "cells with backend='process' cannot run under pool='process' "
-            "(pool workers may not spawn process pools); use serial "
-            "cell backends when fanning out across processes"
-        )
     # record the manifest only once the run is actually going to happen, so
     # a rejected invocation leaves no stray campaign in the store; warn when
     # this replaces a *different* grid recorded under the same name (the old
@@ -511,7 +480,6 @@ def run_campaign(
         _logger.info("collected %d leftover lease(s) at sweep end", collected)
 
     outcomes = []
-    first_computed: set[str] = set()
     for spec in cells:
         key = spec.key
         common = {
@@ -520,7 +488,6 @@ def run_campaign(
             "seed": spec.seed,
             "n_valid": spec.n_valid,
             "mode": spec.mode,
-            "backend": spec.backend,
         }
         local = attempted.get(key)
         if local is not None and local["status"] == "failed":
@@ -529,8 +496,7 @@ def run_campaign(
                             error=local["error"], attempts=local.get("attempts"),
                             **common)
             )
-        elif local is not None and key not in first_computed:
-            first_computed.add(key)
+        elif local is not None:
             outcomes.append(
                 CellOutcome(
                     status="computed", seconds=local["seconds"],
@@ -539,8 +505,7 @@ def run_campaign(
                 )
             )
         elif key in store:
-            # duplicates of a computed key, warm hits, and cells another
-            # fleet member computed all resolve here
+            # warm hits and cells another fleet member computed resolve here
             record = store.record(key)
             outcomes.append(
                 CellOutcome(status="cached", n_windows=record.get("n_windows"),

@@ -1,17 +1,17 @@
 """Content-hashed run specifications and the declarative campaign grid.
 
 A *campaign* is a parameter grid — scenarios × seeds × window sizes ×
-execution backends — that expands into concrete :class:`RunSpec` cells.
-Each cell carries a **content key**: a SHA-256 fingerprint of every
+analysis modes — that expands into concrete :class:`RunSpec` cells, one
+per content key.  The **content key** is a SHA-256 fingerprint of every
 parameter that determines the cell's *result* (the scenario's full phase
 structure, the seed, the window size, the quantities, the generation
-block size, and the online drift detectors riding the run).  Execution knobs — backend, chunk size, worker count — are
-deliberately **excluded** from the key: the PR-1 engine guarantees that
-every backend produces bit-identical pooled output for the same inputs, so
-two cells that differ only in how they are executed share one result.  The
-result store (:mod:`repro.campaigns.store`) is addressed by this key, which
-is what makes re-running a campaign skip completed cells and lets a sweep
-started on the serial backend warm-hit when re-run on the process one.
+block size, the online drift detectors riding the run, and the analysis
+mode).  The one execution knob of a cell, its chunk size, is deliberately
+**excluded** from the key: chunking bounds memory and never changes the
+pooled output, so re-running a grid with a different chunk size warm-hits
+every stored cell.  The result store (:mod:`repro.campaigns.store`) is
+addressed by this key, which is what makes re-running a campaign skip
+completed cells.
 
 The fingerprint is computed over a canonical JSON encoding (sorted keys,
 no whitespace, ``repr``-exact floats), so a key is stable across processes
@@ -31,7 +31,6 @@ from repro.detect.detectors import DETECTOR_NAMES, get_detector
 from repro.scenarios.scenario import Phase, Scenario, get_scenario
 from repro.scenarios.source import DEFAULT_BLOCK_PACKETS
 from repro.streaming.aggregates import QUANTITY_NAMES
-from repro.streaming.parallel import BACKEND_NAMES
 from repro.streaming.pipeline import MODE_NAMES
 from repro.streaming.sketch import SketchConfig
 
@@ -132,11 +131,12 @@ class RunSpec:
         :meth:`~repro.streaming.sketch.SketchConfig.as_key_payload` when
         ``mode="sketch"``, since every knob (including the hash seed)
         changes the estimates.  Must be ``None`` in exact mode.
-    backend / chunk_packets / n_workers:
-        Execution knobs.  **Not** part of the content key: every backend
-        produces bit-identical results (the engine guarantee, which the
-        detectors inherit), so they only describe *how* the cell is
-        computed, never *what* it computes.
+    chunk_packets:
+        Scenario chunk size: the cell's one execution knob.  **Not** part
+        of the content key: it bounds the packets buffered at once and
+        never changes the result.  Cells always run the serial window
+        map; a campaign computes cells in parallel through
+        :func:`~repro.campaigns.runner.run_campaign`'s ``pool`` instead.
     """
 
     scenario: Scenario
@@ -147,9 +147,7 @@ class RunSpec:
     detectors: tuple[str, ...] = ()
     mode: str = "exact"
     sketch: SketchConfig | None = None
-    backend: str = "serial"
     chunk_packets: int | None = None
-    n_workers: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenario", get_scenario(self.scenario))
@@ -159,10 +157,6 @@ class RunSpec:
         check_positive_int(self.block_packets, "block_packets")
         if self.chunk_packets is not None:
             check_positive_int(self.chunk_packets, "chunk_packets")
-        if self.n_workers is not None:
-            check_positive_int(self.n_workers, "n_workers")
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}")
         if self.mode not in MODE_NAMES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODE_NAMES}")
         if self.mode == "exact" and self.sketch is not None:
@@ -214,7 +208,7 @@ class RunSpec:
 
     @property
     def key(self) -> str:
-        """Content key of this cell's *result* (execution knobs excluded)."""
+        """Content key of this cell's *result* (the chunk size excluded)."""
         return self._key  # type: ignore[attr-defined]
 
     def as_manifest(self) -> dict:
@@ -229,9 +223,7 @@ class RunSpec:
             "detectors": list(self.detectors),
             "mode": self.mode,
             "sketch": None if self.sketch is None else self.sketch.as_key_payload(),
-            "backend": self.backend,
             "chunk_packets": None if self.chunk_packets is None else int(self.chunk_packets),
-            "n_workers": None if self.n_workers is None else int(self.n_workers),
         }
 
 
@@ -240,17 +232,14 @@ class Campaign:
     """A declarative sweep: the cartesian grid of runs to perform.
 
     Expansion order is deterministic — ``scenarios × seeds × n_valids ×
-    modes × backends``, with the rightmost axis fastest — so two expansions
-    of equal campaigns list identical cells in identical order.  Scenario
-    names are resolved (and therefore validated) at construction time, like
-    phase configs are for scenarios themselves.
+    modes``, with the rightmost axis fastest — so two expansions of equal
+    campaigns list identical cells in identical order.  Scenario names are
+    resolved (and therefore validated) at construction time, like phase
+    configs are for scenarios themselves.
 
-    Because the content key excludes execution knobs, listing several
-    *backends* does not multiply the work: cells that differ only in backend
-    share one result key, and the runner computes each unique key once —
-    the remaining combinations resolve as warm hits.  Listing several
-    *modes* **does** multiply the work: exact and sketched results are
-    different payloads, which is exactly what makes an
+    Every axis must list distinct values, so each cell has its own content
+    key.  Listing several *modes* multiplies the work: exact and sketched
+    results are different payloads, which is exactly what makes an
     accuracy-versus-cost sweep (``modes=("exact", "sketch")``) meaningful.
     """
 
@@ -262,10 +251,8 @@ class Campaign:
     detectors: tuple[str, ...] = ()
     modes: tuple[str, ...] = ("exact",)
     sketch: SketchConfig | None = None
-    backends: tuple[str, ...] = ("serial",)
     chunk_packets: int | None = None
     block_packets: int = DEFAULT_BLOCK_PACKETS
-    n_workers: int | None = None
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -292,8 +279,6 @@ class Campaign:
                 f"campaign {self.name!r} configures a sketch but never runs "
                 "mode 'sketch'; add it to modes= or drop sketch="
             )
-        if not self.backends:
-            raise ValueError(f"campaign {self.name!r} must name at least one backend")
         resolved = tuple(get_scenario(s) for s in self.scenarios)
         object.__setattr__(self, "scenarios", resolved)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -301,14 +286,24 @@ class Campaign:
         object.__setattr__(self, "quantities", tuple(self.quantities))
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "backends", tuple(self.backends))
+        for axis, values in (
+            ("scenarios", [scenario.name for scenario in self.scenarios]),
+            ("seeds", self.seeds),
+            ("n_valids", self.n_valids),
+            ("modes", self.modes),
+        ):
+            if len(set(values)) != len(values):
+                raise ValueError(
+                    f"campaign {self.name!r} repeats a value on its {axis} axis "
+                    f"({list(values)}); list each value once"
+                )
         # expand (and thereby validate) the grid once; cells() serves this
         # tuple so repeated expansion never re-validates or re-hashes
         object.__setattr__(self, "_cells", tuple(self._iter_cells()))
 
     def _iter_cells(self) -> Iterable[RunSpec]:
-        for scenario, seed, n_valid, mode, backend in itertools.product(
-            self.scenarios, self.seeds, self.n_valids, self.modes, self.backends
+        for scenario, seed, n_valid, mode in itertools.product(
+            self.scenarios, self.seeds, self.n_valids, self.modes
         ):
             yield RunSpec(
                 scenario=scenario,
@@ -319,9 +314,7 @@ class Campaign:
                 detectors=self.detectors,
                 mode=mode,
                 sketch=self.sketch if mode == "sketch" else None,
-                backend=backend,
                 chunk_packets=self.chunk_packets,
-                n_workers=self.n_workers,
             )
 
     def cells(self) -> tuple[RunSpec, ...]:
@@ -330,18 +323,8 @@ class Campaign:
 
     @property
     def n_cells(self) -> int:
-        """Number of grid cells (including combinations sharing a result key)."""
-        return (
-            len(self.scenarios) * len(self.seeds) * len(self.n_valids)
-            * len(self.modes) * len(self.backends)
-        )
-
-    def unique_keys(self) -> tuple[str, ...]:
-        """Distinct result keys of the grid, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for spec in self.cells():
-            seen.setdefault(spec.key, None)
-        return tuple(seen)
+        """Number of grid cells (one per content key)."""
+        return len(self.cells())
 
     def as_manifest(self) -> dict:
         """JSON-ready description of the campaign and its expanded cells."""

@@ -221,14 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["table1", "fig1", "fig2", "fig3", "fig4", "expectations", "recovery", "ablations"],
         help="which experiments to run (default: the fast ones)",
     )
-    exp.add_argument("--backend", choices=list(BACKEND_NAMES), default=None,
-                     help="execution backend for drivers that analyse traces (fig3)")
-    exp.add_argument("--chunk-packets", type=int, default=None,
-                     help="trace chunk size for the fig3 window map (bounds the "
-                          "packets buffered at once)")
-    exp.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the fig3 window map (default: 4 "
-                          "unless --backend is given)")
     exp.add_argument("--store", default=None,
                      help="result-store directory: cache each experiment's rows under a "
                           "content key so repeated invocations are O(read)")
@@ -307,16 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-window analysis tiers (fourth grid axis; exact and "
                                "sketched cells store distinct results)")
     _add_sketch_arguments(camp_run)
-    camp_run.add_argument("--backends", nargs="+", default=["serial"],
-                          choices=list(BACKEND_NAMES),
-                          help="execution backends (fifth grid axis; cells differing only "
-                               "in backend share one stored result)")
     camp_run.add_argument("--chunk-packets", type=int, default=None,
                           help="scenario chunk size for every cell (bounds the "
                                "packets buffered at once)")
     camp_run.add_argument("--pool", choices=["serial", "process"], default="serial",
                           help="run-level fan-out: compute independent cells serially or "
-                               "across worker processes")
+                               "across worker processes (each cell runs the serial "
+                               "window map)")
     camp_run.add_argument("--pool-workers", type=int, default=None,
                           help="worker count for --pool process")
     camp_run.add_argument("--max-cells", type=int, default=None,
@@ -559,19 +548,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro import experiments as exp
 
-    # historical default: fig3 ran on 4 workers; keep that unless the user
-    # chose a backend (whose own worker semantics then apply) or a count
-    fig3_workers = args.workers
-    if fig3_workers is None and args.backend is None:
-        fig3_workers = 4
-
     runners = {
         "table1": lambda: exp.run_table1(),
         "fig1": lambda: exp.run_fig1(),
         "fig2": lambda: exp.run_fig2(),
-        "fig3": lambda: exp.run_fig3(
-            n_workers=fig3_workers, backend=args.backend, chunk_packets=args.chunk_packets
-        ),
+        "fig3": lambda: exp.run_fig3(),
         "fig4": lambda: exp.run_fig4(),
         "expectations": lambda: exp.run_palu_expectations(),
         "recovery": lambda: exp.run_palu_recovery(),
@@ -590,9 +571,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     for name in args.which:
         header = f"\n=== {name} ==="
         if store is not None:
-            # execution knobs (backend/workers/chunking) are excluded from the
-            # key on purpose: they never change the rows, only how fast they
-            # are produced — the same contract campaign cells follow
+            # the drivers take no arguments here, so the name is the key
             rows, cached = store.cached_rows(name, {}, runners[name])
             header += " [cached]" if cached else " [computed]"
         else:
@@ -723,22 +702,21 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             worker_index, workers = 1, args.workers
         campaign = Campaign(
             args.name,
-            scenarios=tuple(args.scenarios),
-            seeds=tuple(args.seeds),
-            n_valids=tuple(args.nv),
+            # a value listed twice on the command line means "this one"
+            scenarios=tuple(dict.fromkeys(args.scenarios)),
+            seeds=tuple(dict.fromkeys(args.seeds)),
+            n_valids=tuple(dict.fromkeys(args.nv)),
             quantities=tuple(dict.fromkeys(args.quantities)),
             detectors=tuple(dict.fromkeys(args.detectors)),
             modes=tuple(dict.fromkeys(args.modes)),
             sketch=_sketch_from_args(args),
-            backends=tuple(args.backends),
             chunk_packets=args.chunk_packets,
         )
     except KeyError as error:
         print(f"error: {error.args[0]}")
         return 2
     fleet = f" (worker {worker_index}/{workers})" if workers > 1 else ""
-    print(f"campaign {campaign.name!r}: {campaign.n_cells} cells "
-          f"({len(campaign.unique_keys())} unique results) -> store {args.store}{fleet}")
+    print(f"campaign {campaign.name!r}: {campaign.n_cells} cells -> store {args.store}{fleet}")
     run = run_campaign(
         campaign,
         args.store,
@@ -775,12 +753,14 @@ def _open_store_readonly(path: str):
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.campaigns import DEFAULT_LEASE_TTL_SECONDS, fleet_status_rows, lease_rows
 
+    ttl = DEFAULT_LEASE_TTL_SECONDS if args.lease_ttl is None else args.lease_ttl
+    if ttl <= 0:
+        raise ValueError(f"lease_ttl must be > 0, got {ttl}")
     try:
         store = _open_store_readonly(args.store)
     except KeyError as error:
         print(f"error: {error.args[0]}")
         return 2
-    ttl = DEFAULT_LEASE_TTL_SECONDS if args.lease_ttl is None else args.lease_ttl
     names = [args.name] if args.name is not None else list(store.campaign_names())
     if not names:
         print(f"no campaigns recorded in store {store.root}")

@@ -31,20 +31,12 @@ from repro.streaming.trace_generator import TraceConfig, generate_trace_from_gra
 __all__ = ["run_fig3_scenario", "run_fig3"]
 
 
-def run_fig3_scenario(
-    scenario: Scenario,
-    *,
-    n_workers: int | None = None,
-    backend: str | None = None,
-    chunk_packets: int | None = None,
-) -> dict:
+def run_fig3_scenario(scenario: Scenario) -> dict:
     """Run one Figure-3 panel reproduction end to end.
 
-    The analysis runs on the requested execution backend (serial or process
-    — both produce identical pooled distributions) and keeps no per-window
-    results; *chunk_packets* bounds the windower's buffer on either.
-    Returns a dict row with the fitted and paper parameters plus
-    fit-quality diagnostics (see module docstring).
+    The in-memory trace is analysed on the serial window map, keeping no
+    per-window results.  Returns a dict row with the fitted and paper
+    parameters plus fit-quality diagnostics (see module docstring).
     """
     palu = generate_palu_graph(scenario.parameters, n_nodes=scenario.n_nodes, rng=scenario.seed)
     config = TraceConfig(
@@ -54,13 +46,7 @@ def run_fig3_scenario(
     )
     trace = generate_trace_from_graph(palu, config, rng=scenario.seed + 1)
     analysis = analyze_trace(
-        trace,
-        scenario.n_valid,
-        quantities=(scenario.quantity,),
-        n_workers=n_workers,
-        backend=backend,
-        chunk_packets=chunk_packets,
-        keep_windows=False,
+        trace, scenario.n_valid, quantities=(scenario.quantity,), keep_windows=False
     )
     pooled = analysis.pooled(scenario.quantity)
     dmax = analysis.dmax(scenario.quantity)
@@ -90,14 +76,8 @@ def run_fig3_scenario(
 def run_fig3(
     scenarios: Sequence[Scenario] = FIG3_SCENARIOS,
     *,
-    n_workers: int | None = None,
-    backend: str | None = None,
-    chunk_packets: int | None = None,
     limit: int | None = None,
 ) -> list:
     """Run the full Figure-3 scenario sweep (optionally the first *limit* panels)."""
     selected = list(scenarios)[: limit if limit is not None else len(list(scenarios))]
-    return [
-        run_fig3_scenario(s, n_workers=n_workers, backend=backend, chunk_packets=chunk_packets)
-        for s in selected
-    ]
+    return [run_fig3_scenario(s) for s in selected]

@@ -825,6 +825,8 @@ def analyze_trace(
     WindowedAnalysis
     """
     n_valid = check_positive_int(n_valid, "n_valid")
+    if chunk_packets is not None:
+        chunk_packets = check_positive_int(chunk_packets, "chunk_packets")
     backend_impl = get_backend(backend, n_workers=n_workers, payload_transport=payload_transport)
 
     windower: ChunkedWindower | None = None
@@ -835,13 +837,13 @@ def analyze_trace(
         windows: Iterator[PacketTrace] = iter(windower)
     elif isinstance(trace, PacketTrace):
         if chunk_packets is not None:
-            windower = ChunkedWindower(trace.iter_chunks(int(chunk_packets)), n_valid)
+            windower = ChunkedWindower(trace.iter_chunks(chunk_packets), n_valid)
             windows = iter(windower)
         else:
             windows = iter_windows(trace, n_valid)
     elif isinstance(trace, Iterable):
         # re-cut the caller's chunks so chunk_packets bounds the buffer here too
-        chunks = trace if chunk_packets is None else rechunk(trace, int(chunk_packets))
+        chunks = trace if chunk_packets is None else rechunk(trace, chunk_packets)
         windower = ChunkedWindower(chunks, n_valid)
         windows = iter(windower)
     else:

@@ -262,20 +262,6 @@ class TestFailureContainment:
         assert resumed.n_computed == 2 and resumed.n_cached == 2
         assert resumed.n_failed == 0 and resumed.complete
 
-    def test_failed_duplicate_cells_share_the_error(self, tmp_path, monkeypatch):
-        campaign = lease_campaign(
-            scenarios=(LEASE_FLAT,), seeds=(0,),
-            backends=("serial", "process"), chunk_packets=2_000,
-        )
-        monkeypatch.setattr(
-            runner_module, "analyze_scenario",
-            lambda *a, **k: (_ for _ in ()).throw(ValueError("bad cell")),
-        )
-        run = run_campaign(campaign, tmp_path / "store", lease_ttl=10)
-        assert run.n_failed == 2  # both grid cells of the shared key
-        assert len(run.failure_lines()) == 1  # but one unique failure
-        assert {o.error for o in run.failures} == {"ValueError: bad cell"}
-
     def test_failures_contained_under_process_pool(self, tmp_path):
         """Containment must hold when cells run on pool workers too: an
         unpicklable-argument TypeError style failure in one worker cannot
@@ -358,7 +344,7 @@ class TestFleet:
     """Real multi-process fleets over one shared store."""
 
     def test_two_workers_split_the_grid_without_duplicates(self, tmp_path):
-        campaign = lease_campaign(seeds=(0, 1, 2))  # 6 unique cells
+        campaign = lease_campaign(seeds=(0, 1, 2))  # 6 cells
         store_root = tmp_path / "fleet-store"
         ctx = multiprocessing.get_context("fork")
         outs = [tmp_path / "w1.json", tmp_path / "w2.json"]
@@ -383,7 +369,7 @@ class TestFleet:
         # zero duplicate computes in the happy path: the computed sets are
         # disjoint and together cover the whole grid
         assert computed[0].isdisjoint(computed[1])
-        assert computed[0] | computed[1] == set(campaign.unique_keys())
+        assert computed[0] | computed[1] == {cell.key for cell in campaign.cells()}
         assert all(r["complete"] for r in results)
         assert list(ResultStore(store_root).iter_leases()) == []
 
@@ -418,7 +404,7 @@ class TestFleet:
         # the kill froze the heartbeat mid-cell: the lease survives, the
         # cell is missing, and a short-TTL resume must take the claim over
         store = ResultStore(store_root)
-        (key,) = campaign.unique_keys()
+        (key,) = [cell.key for cell in campaign.cells()]
         assert key not in store
         assert store.lease_info(key, ttl=60.0) is not None
 

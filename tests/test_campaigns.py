@@ -31,7 +31,6 @@ from repro.campaigns import (
 )
 from repro.cli import main
 from repro.scenarios import Phase, Scenario, analyze_scenario
-from repro.streaming.parallel import BACKEND_NAMES
 
 #: A tiny two-phase scenario so every campaign test runs in well under a second.
 TINY = Scenario(
@@ -79,10 +78,7 @@ class TestRunSpecKeys:
         base = dict(scenario=TINY, seed=3, n_valid=1_000, quantities=QUANTITIES)
         assert RunSpec(**base).key != RunSpec(**{**base, **override}).key
 
-    @pytest.mark.parametrize(
-        "override",
-        [{"backend": "serial", "chunk_packets": 2_000}, {"backend": "process", "n_workers": 2}],
-    )
+    @pytest.mark.parametrize("override", [{"chunk_packets": 2_000}, {"chunk_packets": 1}])
     def test_execution_knobs_do_not_change_the_key(self, override):
         base = dict(scenario=TINY, seed=3, n_valid=1_000, quantities=QUANTITIES)
         assert RunSpec(**base).key == RunSpec(**{**base, **override}).key
@@ -92,8 +88,6 @@ class TestRunSpecKeys:
         assert scenario_fingerprint(renamed) == scenario_fingerprint(TINY)
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            RunSpec(TINY, seed=0, n_valid=1_000, backend="bogus")
         with pytest.raises(ValueError, match="quantities"):
             RunSpec(TINY, seed=0, n_valid=1_000, quantities=("bogus",))
         with pytest.raises(ValueError, match="duplicate quantities"):
@@ -101,8 +95,7 @@ class TestRunSpecKeys:
 
     @pytest.mark.parametrize("build, error, match", [
         (lambda store: RunSpec(TINY, seed=0, n_valid=1_000, chunk_packets=0), ValueError, "chunk_packets"),
-        (lambda store: RunSpec(TINY, seed=0, n_valid=1_000, n_workers=0), ValueError, "n_workers"),
-        (lambda store: RunSpec(TINY, seed=0, n_valid=1_000, n_workers=True), TypeError, "n_workers"),
+        (lambda store: RunSpec(TINY, seed=0, n_valid=1_000, chunk_packets=True), TypeError, "chunk_packets"),
         (lambda store: run_campaign(tiny_campaign(), store, max_cells=-1), ValueError, "max_cells"),
     ])
     def test_bad_execution_inputs_rejected_up_front(self, tmp_path, build, error, match):
@@ -119,14 +112,23 @@ class TestRunSpecKeys:
 
 class TestCampaign:
     def test_expansion_is_deterministic_and_complete(self):
-        campaign = tiny_campaign(backends=("serial", "process"))
+        campaign = tiny_campaign(modes=("exact", "sketch"))
         cells = campaign.cells()
         assert len(cells) == campaign.n_cells == 2 * 2 * 1 * 2
         assert [c.key for c in cells] == [c.key for c in campaign.cells()]
+        assert len({c.key for c in cells}) == len(cells)
 
-    def test_backend_axis_shares_result_keys(self):
-        campaign = tiny_campaign(backends=("serial", "process"))
-        assert len(campaign.unique_keys()) == campaign.n_cells // 2
+    @pytest.mark.parametrize("axis, values", [
+        ("scenarios", (TINY, TINY_FLAT, TINY)),
+        ("seeds", (0, 0)),
+        ("n_valids", (1_000, 2_000, 1_000)),
+        ("modes", ("exact", "exact")),
+    ])
+    def test_repeated_axis_value_rejected(self, axis, values):
+        """Each cell has its own content key: a value listed twice on any
+        axis would list one result twice, so the grid refuses it."""
+        with pytest.raises(ValueError, match=f"repeats a value on its {axis} axis"):
+            tiny_campaign(**{axis: values})
 
     def test_unknown_scenario_fails_at_construction(self):
         with pytest.raises(KeyError, match="unknown scenario"):
@@ -141,8 +143,8 @@ class TestCampaign:
             tiny_campaign(n_valids=())
         with pytest.raises(ValueError, match="quantity"):
             tiny_campaign(quantities=())
-        with pytest.raises(ValueError, match="backend"):
-            tiny_campaign(backends=())
+        with pytest.raises(ValueError, match="mode"):
+            tiny_campaign(modes=())
 
 
 class TestResultStore:
@@ -280,7 +282,7 @@ class TestResultStore:
         campaign = tiny_campaign()
         run_campaign(campaign, tmp_path / "store")
         store = ResultStore(tmp_path / "store")
-        victim = campaign.unique_keys()[0]
+        victim = campaign.cells()[0].key
         if mutate == "payload":
             path = store._object_path(victim)
             path.write_bytes(path.read_bytes()[: -5])
@@ -358,7 +360,7 @@ class TestRunCampaign:
         campaign = tiny_campaign(seeds=(5,), scenarios=(TINY,))
         run_campaign(campaign, tmp_path / "store")
         store = ResultStore(tmp_path / "store")
-        (key,) = campaign.unique_keys()
+        (key,) = [cell.key for cell in campaign.cells()]
         cached = store.get(key)
         fresh = analyze_scenario(
             TINY, 1_000, seed=5, quantities=QUANTITIES, keep_windows=False
@@ -376,29 +378,6 @@ class TestRunCampaign:
                     cached.phases.pooled(phase, quantity).values,
                     fresh.phases.pooled(phase, quantity).values,
                 )
-
-    def test_backend_axis_deduplicates_compute(self, tmp_path):
-        campaign = tiny_campaign(
-            backends=("serial", "process"), chunk_packets=2_000, seeds=(0,)
-        )
-        cold = run_campaign(campaign, tmp_path / "store")
-        assert cold.n_computed == 2  # one per scenario, not per backend
-        assert cold.n_cached == 2   # the process twins resolve as hits
-
-    def test_content_key_independent_of_computing_backend(self, tmp_path):
-        """Each backend, run alone, stores every cell under the same key and
-        the same result."""
-        stores = {}
-        for backend in BACKEND_NAMES:
-            campaign = tiny_campaign(backends=(backend,), seeds=(0,), chunk_packets=2_000)
-            run_campaign(campaign, tmp_path / backend)
-            stores[backend] = ResultStore(tmp_path / backend)
-        serial, process = stores["serial"], stores["process"]
-        assert sorted(serial.keys()) == sorted(process.keys())
-        assert len(list(serial.keys())) == 2
-        for key in serial.keys():
-            assert serial.get(key).analysis == process.get(key).analysis
-            assert process.get(key).engine_stats["backend"] == "process"
 
     def test_partial_sweep_resumes_missing_cells_only(self, tmp_path):
         campaign = tiny_campaign()
@@ -439,14 +418,9 @@ class TestRunCampaign:
         report_b = CampaignReport.from_store(tmp_path / "pool-store", campaign.name).render()
         assert report_a == report_b
 
-    def test_process_cells_under_process_pool_rejected(self, tmp_path):
-        campaign = tiny_campaign(backends=("process",))
-        with pytest.raises(ValueError, match="pool"):
-            run_campaign(campaign, tmp_path / "store", pool="process")
-
     def test_pool_none_is_serial_even_with_pool_workers(self, tmp_path):
         """pool_workers alone must not infer a process pool (pool=None is serial)."""
-        campaign = tiny_campaign(backends=("process",), seeds=(0,), scenarios=(TINY_FLAT,))
+        campaign = tiny_campaign(seeds=(0,), scenarios=(TINY_FLAT,))
         run = run_campaign(campaign, tmp_path / "store", pool_workers=4)
         assert run.complete and run.n_computed == 1
 
@@ -480,9 +454,9 @@ class TestRunCampaign:
         assert not any("different grid" in record.message for record in caplog.records)
 
     def test_rejected_run_records_no_campaign(self, tmp_path):
-        campaign = tiny_campaign(backends=("process",))
-        with pytest.raises(ValueError, match="pool"):
-            run_campaign(campaign, tmp_path / "store", pool="process")
+        campaign = tiny_campaign()
+        with pytest.raises(ValueError, match="n_workers"):
+            run_campaign(campaign, tmp_path / "store", pool="process", pool_workers=0)
         assert ResultStore(tmp_path / "store").campaign_names() == ()
 
     def test_cached_record_without_n_windows_reports_none(self, tmp_path):
@@ -495,7 +469,7 @@ class TestRunCampaign:
         campaign = tiny_campaign(seeds=(0,), scenarios=(TINY_FLAT,))
         run_campaign(campaign, tmp_path / "store")
         store = ResultStore(tmp_path / "store")
-        (key,) = campaign.unique_keys()
+        (key,) = [cell.key for cell in campaign.cells()]
         record = store.record(key)
         record.pop("n_windows")
         write_json_atomic(store._record_path(key), record)
@@ -557,15 +531,6 @@ class TestCampaignReport:
         rows = report.cell_rows("source_fanout")
         assert sum(1 for r in rows if r["status"] == "missing") == 2
 
-    def test_summary_counts_each_seed_once_across_backends(self, tmp_path):
-        campaign = tiny_campaign(
-            scenarios=(TINY,), backends=("serial", "process"), chunk_packets=2_000
-        )
-        run_campaign(campaign, tmp_path / "store")
-        report = CampaignReport.from_store(tmp_path / "store", campaign.name)
-        (row,) = report.summary_rows("source_fanout")
-        assert row["seeds"] == 2
-
     def test_unknown_campaign_raises(self, tmp_path):
         ResultStore(tmp_path / "store")
         with pytest.raises(KeyError, match="no campaign"):
@@ -582,7 +547,7 @@ class TestCampaignReport:
         for cell in manifest["cells"]:
             cell["backend"] = "streaming"
         store.save_campaign(manifest)
-        for key in campaign.unique_keys():
+        for key in (cell.key for cell in campaign.cells()):
             run = store.get(key)
             state = run.analysis._stream
             analysis = dataclasses.replace(
@@ -596,11 +561,46 @@ class TestCampaignReport:
 
         report = CampaignReport.from_store(store, campaign.name)
         assert report.complete
-        assert {row["backend"] for row in report.cell_rows("source_fanout")} == {"streaming"}
         assert {row["computed_by"] for row in report.engine_rows()} == {"streaming"}
         assert "streaming" in report.render("source_fanout")
         assert main(["campaign", "status", "--store", str(store.root), "--check"]) == 0
         assert "check passed" in capsys.readouterr().out
+
+    def test_store_listing_each_key_under_two_backends_still_reads(
+        self, tmp_path, capsys, caplog
+    ):
+        """Stores written while grids had a backend axis list every key
+        twice — once per backend, with ``backend``/``n_workers`` fields.
+        Status, summary and report count each key once, and re-running the
+        same grid on such a store computes nothing and replaces no grid."""
+        import logging
+
+        store = ResultStore(tmp_path / "store")
+        campaign = tiny_campaign(scenarios=(TINY,))
+        run_campaign(campaign, store)
+        manifest = store.load_campaign(campaign.name)
+        manifest["cells"] = [
+            {**cell, "backend": backend, "n_workers": workers}
+            for cell in manifest["cells"]
+            for backend, workers in (("serial", None), ("process", 2))
+        ]
+        manifest["n_cells"] = len(manifest["cells"])
+        store.save_campaign(manifest)
+
+        assert main(["campaign", "status", "--store", str(store.root), "--check"]) == 0
+        assert "check passed" in capsys.readouterr().out
+        (status,) = fleet_status_rows(store, [campaign.name])
+        assert status["cells"] == status["stored"] == 2
+        report = CampaignReport.from_store(store, campaign.name)
+        assert report.complete and len(report.results) == 2
+        (summary,) = report.summary_rows("source_fanout")
+        assert summary["seeds"] == 2
+        assert "4 cells, 2 unique results stored, 0 missing" in report.render("source_fanout")
+
+        with caplog.at_level(logging.WARNING, logger="repro.campaigns.runner"):
+            warm = run_campaign(campaign, store)
+        assert warm.n_computed == 0 and warm.n_cached == 2
+        assert not any("different grid" in record.message for record in caplog.records)
 
 
 class TestCellRetries:

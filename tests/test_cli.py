@@ -427,6 +427,14 @@ class TestFailurePaths:
                      "--scenarios", "stationary", "--max-cells", "-1"])
         self._assert_clean_error(capsys, code, "max_cells", ">= 0")
 
+    @pytest.mark.parametrize("ttl", ["0", "-5"])
+    def test_campaign_status_non_positive_lease_ttl(self, tmp_path, capsys, ttl):
+        from repro.campaigns import ResultStore
+
+        ResultStore(tmp_path / "s")
+        code = main(["campaign", "status", "--store", str(tmp_path / "s"), "--lease-ttl", ttl])
+        self._assert_clean_error(capsys, code, "lease_ttl must be > 0")
+
     def test_campaign_status_missing_store(self, tmp_path, capsys):
         missing = tmp_path / "nope"
         code = main(["campaign", "status", "--store", str(missing)])
@@ -553,12 +561,15 @@ class TestCampaign:
         assert "no result store" in capsys.readouterr().out
         assert not missing.exists()
 
-    def test_process_cells_under_process_pool_fails_cleanly(self, tmp_path, capsys):
+    def test_repeated_grid_values_run_once(self, tmp_path, capsys):
+        """A value listed twice on the command line names one cell."""
         code = main(["campaign", "run", "--store", str(tmp_path / "s"),
-                     "--scenarios", "stationary", "--nv", "2000",
-                     "--backends", "process", "--pool", "process"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().out
+                     "--scenarios", "stationary", "stationary", "--seeds", "0", "0",
+                     "--nv", "2000", "2000", "--quantities", "source_fanout"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "campaign 'default': 1 cells -> store" in out
+        assert "computed 1, cached 0, failed 0, skipped 0" in out
 
     def test_experiments_store_caches_rows(self, tmp_path, capsys):
         store = str(tmp_path / "exp-store")

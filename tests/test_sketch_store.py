@@ -71,7 +71,7 @@ class TestSketchRoundTrip:
             name="both", scenarios=("stationary",), n_valids=(400,),
             modes=("exact", "sketch"),
         )
-        keys = campaign.unique_keys()
+        keys = {cell.key for cell in campaign.cells()}
         assert len(keys) == 2
 
 

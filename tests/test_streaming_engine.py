@@ -525,6 +525,23 @@ class TestStreamingAnalyzeTrace:
         with pytest.raises(TypeError):
             analyze_trace(42, 100)
 
+    @pytest.mark.parametrize("chunk_packets, error", [
+        (0, ValueError), (True, TypeError), (1.5, TypeError),
+    ])
+    @pytest.mark.parametrize("kind", ["memory", "path", "iterable"])
+    def test_bad_chunk_packets_rejected_for_every_input(
+        self, small_trace, tmp_path, kind, chunk_packets, error
+    ):
+        """One check covers every input kind: an in-memory trace must not run
+        a bad chunk size as 1-packet chunks."""
+        trace = {
+            "memory": lambda: small_trace,
+            "path": lambda: save_trace_sharded(small_trace, tmp_path / "t", shard_packets=60_000),
+            "iterable": lambda: small_trace.iter_chunks(60_000),
+        }[kind]()
+        with pytest.raises(error, match="chunk_packets"):
+            analyze_trace(trace, 30_000, chunk_packets=chunk_packets)
+
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="no complete windows"):
             analyze_trace(iter([]), 100)
