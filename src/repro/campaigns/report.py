@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from math import sqrt
 from typing import Mapping, Union
 
+from repro._util.validation import check_positive
 from repro.analysis.summary import format_table
 from repro.campaigns.store import DEFAULT_LEASE_TTL_SECONDS, ResultStore
 
@@ -45,8 +46,9 @@ def fleet_status_rows(
     count exceeds 1 — work a retry budget (``--cell-retries``) rescued.
     ``cells`` counts distinct content keys, so a manifest that lists one
     key twice (stores written while grids had a backend axis) counts it
-    once.
+    once.  A non-positive *ttl* raises ``ValueError``.
     """
+    check_positive(ttl, "lease_ttl")
     rows = []
     for name in names:
         manifest = store.load_campaign(name)
@@ -185,9 +187,17 @@ class CampaignReport:
         return not self.missing
 
     def cell_rows(self, quantity: str) -> list[dict]:
-        """One row per grid cell, in grid order."""
+        """One row per grid cell, in grid order.
+
+        A key listed twice (stores written while grids had a backend axis)
+        renders once, at its first position.
+        """
         rows = []
+        listed: set[str] = set()
         for cell in self.manifest["cells"]:
+            if cell["key"] in listed:
+                continue
+            listed.add(cell["key"])
             row: dict[str, object] = {
                 "scenario": cell["scenario"],
                 "seed": cell["seed"],

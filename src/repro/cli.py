@@ -754,22 +754,20 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.campaigns import DEFAULT_LEASE_TTL_SECONDS, fleet_status_rows, lease_rows
 
     ttl = DEFAULT_LEASE_TTL_SECONDS if args.lease_ttl is None else args.lease_ttl
-    if ttl <= 0:
-        raise ValueError(f"lease_ttl must be > 0, got {ttl}")
     try:
         store = _open_store_readonly(args.store)
     except KeyError as error:
         print(f"error: {error.args[0]}")
         return 2
     names = [args.name] if args.name is not None else list(store.campaign_names())
-    if not names:
-        print(f"no campaigns recorded in store {store.root}")
-        return 0
     try:
         rows = fleet_status_rows(store, names, ttl=ttl)
     except KeyError as error:
         print(f"error: {error.args[0]}")
         return 2
+    if not rows:
+        print(f"no campaigns recorded in store {store.root}")
+        return 0
     print(format_table(rows))
     leases = lease_rows(store, ttl=ttl)
     if leases:

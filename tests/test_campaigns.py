@@ -418,11 +418,21 @@ class TestRunCampaign:
         report_b = CampaignReport.from_store(tmp_path / "pool-store", campaign.name).render()
         assert report_a == report_b
 
-    def test_pool_none_is_serial_even_with_pool_workers(self, tmp_path):
+    def test_pool_none_is_serial_even_with_pool_workers(self, tmp_path, monkeypatch, caplog):
         """pool_workers alone must not infer a process pool (pool=None is serial)."""
-        campaign = tiny_campaign(seeds=(0,), scenarios=(TINY_FLAT,))
-        run = run_campaign(campaign, tmp_path / "store", pool_workers=4)
-        assert run.complete and run.n_computed == 1
+        import logging
+
+        from repro.streaming.parallel import ProcessBackend
+
+        def no_process_pool(self, fn, items):
+            raise AssertionError("pool=None fanned cells out to a process pool")
+
+        monkeypatch.setattr(ProcessBackend, "map", no_process_pool)
+        campaign = tiny_campaign()
+        with caplog.at_level(logging.INFO, logger="repro.campaigns.runner"):
+            run = run_campaign(campaign, tmp_path / "store", pool_workers=4)
+        assert run.complete and run.n_computed == 4
+        assert any("serial pool" in record.message for record in caplog.records)
 
     def test_recompute_replaces_entries(self, tmp_path):
         campaign = tiny_campaign(seeds=(0,), scenarios=(TINY_FLAT,))
@@ -593,6 +603,7 @@ class TestCampaignReport:
         assert status["cells"] == status["stored"] == 2
         report = CampaignReport.from_store(store, campaign.name)
         assert report.complete and len(report.results) == 2
+        assert len(report.cell_rows("source_fanout")) == 2
         (summary,) = report.summary_rows("source_fanout")
         assert summary["seeds"] == 2
         assert "4 cells, 2 unique results stored, 0 missing" in report.render("source_fanout")
@@ -601,6 +612,12 @@ class TestCampaignReport:
             warm = run_campaign(campaign, store)
         assert warm.n_computed == 0 and warm.n_cached == 2
         assert not any("different grid" in record.message for record in caplog.records)
+
+    @pytest.mark.parametrize("ttl", [0.0, -5.0])
+    def test_status_rows_reject_non_positive_ttl(self, tmp_path, ttl):
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="lease_ttl must be > 0"):
+            fleet_status_rows(store, [], ttl=ttl)
 
 
 class TestCellRetries:
