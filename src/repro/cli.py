@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(enables out-of-core analysis); default: single v1 .npz file")
     gen.add_argument("--layout", choices=list(LAYOUT_NAMES), default="npz",
                      help="shard encoding for --shard-packets: 'npz' (compressed, smallest) "
-                          "or 'npy' (uncompressed records that 'analyze --mmap' can memory-map)")
+                          "or 'npy' (uncompressed records, memory-mapped on read)")
     gen.set_defaults(func=_cmd_generate)
 
     ana = subparsers.add_parser("analyze", help="windowed Figure-3 style analysis of a trace")
@@ -199,10 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--quantities", nargs="+", default=list(QUANTITY_NAMES),
                      choices=list(QUANTITY_NAMES), help="which Figure-1 quantities to analyse")
     _add_engine_arguments(ana)
-    ana.add_argument("--mmap", action="store_true",
-                     help="memory-map npy-layout shards instead of loading them "
-                          "(see 'generate --layout npy'); other formats fall back "
-                          "to the eager read")
     ana.add_argument("--panel", action="store_true",
                      help="also render a text panel of each pooled distribution")
     ana.set_defaults(func=_cmd_analyze)
@@ -475,14 +471,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # argparse choices allow repeats; naming a quantity twice means "this one"
     args.quantities = list(dict.fromkeys(args.quantities))
     engine = _engine_kwargs(args)
-    if args.chunk_packets is not None and Path(args.trace).exists() and trace_format(args.trace) == 1:
+    if args.chunk_packets is not None and trace_format(args.trace) == 1:
         print("note: v1 .npz archives load whole before chunking; generate with "
               "--shard-packets for true out-of-core reads")
-    print(f"{'mapping trace shards' if args.mmap else 'reading trace'} from {args.trace}")
+    print(f"reading trace from {args.trace}")
     # the engine reads the stored trace itself, chunk by chunk, on every backend
     analysis = analyze_trace(
-        args.trace, args.nv, quantities=tuple(args.quantities), mmap=args.mmap,
-        keep_windows=False, **engine,
+        args.trace, args.nv, quantities=tuple(args.quantities), keep_windows=False, **engine
     )
     _print_engine_banner(analysis.engine_stats)
     print(f"{analysis.n_windows} windows of N_V = {args.nv} valid packets\n")
@@ -1065,14 +1060,15 @@ def _cmd_jobs_feed(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    A ``ValueError`` from a command — an input the library rejects — prints
-    one ``error:`` line and exits 2 instead of a traceback.
+    A ``ValueError`` from a command — an input the library rejects — or a
+    ``FileNotFoundError`` — a path that holds nothing — prints one
+    ``error:`` line and exits 2 instead of a traceback.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return int(args.func(args))
-    except ValueError as error:
+    except (ValueError, FileNotFoundError) as error:
         print(f"error: {error}")
         return 2
 

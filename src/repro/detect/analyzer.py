@@ -35,6 +35,7 @@ from typing import Mapping, Sequence, Union
 from repro.analysis.pooling import PooledDistribution, pool_differential_cumulative
 from repro.detect.detectors import DriftDetector, make_detectors
 from repro.streaming.pipeline import StreamAnalyzer, WindowedAnalysis, WindowResult
+from repro.streaming.sketch import SketchConfig
 
 __all__ = ["DEFAULT_DETECT_QUANTITY", "DetectionResult", "DetectingAnalyzer"]
 
@@ -130,6 +131,11 @@ class DetectingAnalyzer:
     def quantities(self) -> tuple[str, ...]:
         """Quantities of the wrapped analyzer (API compatibility)."""
         return self.analyzer.quantities
+
+    @property
+    def sketch_config(self) -> SketchConfig | None:
+        """Sketch config of the wrapped analyzer (``None`` in exact mode)."""
+        return self.analyzer.sketch_config
 
     def update(
         self,

@@ -3,7 +3,7 @@
 :func:`analyze_scenario` is the scenario counterpart of
 :func:`repro.streaming.pipeline.analyze_trace`: the scenario's chunk stream
 (:class:`~repro.scenarios.source.ScenarioTraceSource`) is windowed by the
-same :class:`~repro.streaming.window.ChunkedWindower`, mapped through the
+same :class:`~repro.streaming.window.PushWindower`, mapped through the
 same pluggable :class:`~repro.streaming.parallel.ExecutionBackend`, and
 folded by the same :class:`~repro.streaming.pipeline.StreamAnalyzer` — with
 a :class:`~repro.analysis.phases.PhaseSegmentedAnalyzer` riding the same
@@ -28,7 +28,7 @@ from repro.streaming.aggregates import QUANTITY_NAMES
 from repro.streaming.parallel import ExecutionBackend, get_backend
 from repro.streaming.pipeline import StreamAnalyzer, WindowedAnalysis, backend_stats, fold_windows
 from repro.streaming.sketch import SketchConfig
-from repro.streaming.window import ChunkedWindower
+from repro.streaming.window import PushWindower
 
 __all__ = ["ScenarioRun", "analyze_scenario"]
 
@@ -137,7 +137,6 @@ def analyze_scenario(
     source = ScenarioTraceSource(
         scenario, seed=seed, chunk_packets=chunk_packets, block_packets=block_packets
     )
-    windower = ChunkedWindower(iter(source), n_valid)
     _logger.debug(
         "running scenario %r (%d phases, %d packets) via %s backend",
         scenario.name, scenario.n_phases, scenario.n_packets, backend_impl.name,
@@ -159,9 +158,9 @@ def analyze_scenario(
     )
     # the one shared fold loop (windows are pooled once, vectors handed to
     # every consumer): identical code to analyze_trace and the service daemon
-    fold_windows(
-        backend_impl, windower, folder, consumers=(segmenter,), sketch=analyzer.sketch_config,
-    )
+    windower = PushWindower(n_valid)
+    windows = (w for chunk in source for w in windower.push(chunk))
+    fold_windows(backend_impl, windows, folder, consumers=(segmenter,))
     stats = {
         **backend_stats(backend_impl),
         "scenario": scenario.name,

@@ -169,8 +169,9 @@ class DetectionSection:
 class SourceSection:
     """The packet source this job *expects* (declarative, not enforced).
 
-    The daemon folds whatever batches clients send; this section documents
-    the intended feed so ``repro jobs feed`` can generate it and so the
+    The daemon folds whatever batches clients send, and no command reads
+    this section — ``repro jobs feed`` takes its scenario from
+    ``--scenario``.  Like ``store.root`` it is validated and hashed, so the
     job's config hash pins what the stored result claims to be.  A ``None``
     scenario means "live traffic" — any well-formed batches.
     """

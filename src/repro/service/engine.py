@@ -178,13 +178,12 @@ class JobEngine:
     def __init__(self, config: JobConfig) -> None:
         self.config = config
         window = config.window
-        self._sketch = config.sketch_config()
         analyzer = StreamAnalyzer(
             window.n_valid,
             window.quantities,
             keep_windows=False,
             mode=window.mode,
-            sketch=self._sketch,
+            sketch=config.sketch_config(),
         )
         self.folder: Union[StreamAnalyzer, DetectingAnalyzer] = analyzer
         if config.detection.detectors:
@@ -231,7 +230,7 @@ class JobEngine:
         self.packets_ingested += chunk.n_packets
         self.batches_ingested += 1
         if windows:
-            fold_windows(self._backend, windows, self.folder, sketch=self._sketch)
+            fold_windows(self._backend, windows, self.folder)
         return len(windows)
 
     def snapshot(self) -> dict:

@@ -84,7 +84,7 @@ from repro.streaming.weighted import (
     byte_image,
     weighted_quantities,
 )
-from repro.streaming.window import ChunkedWindower, count_windows, iter_windows
+from repro.streaming.window import PushWindower, count_windows, iter_windows
 
 __all__ = [
     "AggregateProperties",
@@ -141,7 +141,7 @@ __all__ = [
     "byte_histograms",
     "byte_image",
     "weighted_quantities",
-    "ChunkedWindower",
+    "PushWindower",
     "count_windows",
     "iter_windows",
 ]

@@ -26,7 +26,6 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -55,7 +54,7 @@ from repro.streaming.sketch import (
 )
 from repro.streaming.sparse_image import traffic_image
 from repro.streaming.trace_io import ANALYSIS_COLUMNS, iter_trace_chunks, rechunk
-from repro.streaming.window import ChunkedWindower, iter_batches, iter_windows
+from repro.streaming.window import PushWindower, iter_batches
 
 __all__ = [
     "MODE_NAMES",
@@ -215,9 +214,9 @@ class WindowedAnalysis:
         """Execution statistics recorded by the single-pass engine.
 
         Keys (when produced by :func:`analyze_trace`): ``backend``, ``mode``,
-        and for chunked input also ``max_buffered_packets`` and
-        ``n_chunks``.  Empty for analyses built directly from window
-        results.
+        ``max_buffered_packets`` and ``n_chunks`` for every input kind, plus
+        ``payload_transport`` on the process backend.  Empty for analyses
+        built directly from window results.
         """
         return dict(self._stream.stats)
 
@@ -678,7 +677,6 @@ def fold_windows(
     folder,
     *,
     consumers: Sequence = (),
-    sketch: SketchConfig | None = None,
 ) -> int:
     """THE window-fold loop: map windows through a backend into *folder*.
 
@@ -698,17 +696,15 @@ def fold_windows(
     folder:
         The primary fold target — a
         :class:`StreamAnalyzer`-shaped consumer (``update(result, pooled=)``
-        / ``quantities``), e.g. a :class:`StreamAnalyzer` or a
-        :class:`~repro.detect.analyzer.DetectingAnalyzer` wrapping one.
+        / ``quantities`` / ``sketch_config``), e.g. a :class:`StreamAnalyzer`
+        or a :class:`~repro.detect.analyzer.DetectingAnalyzer` wrapping one.
+        Its ``sketch_config`` picks the per-window analysis tier.
     consumers:
         Additional same-shaped consumers riding the identical in-order
         result stream (e.g. the scenario runner's phase segmenter).  When
         any are present — or when *folder* is itself a multi-consumer
         wrapper — each window is pooled exactly once and the vectors are
         shared, instead of every consumer re-pooling.
-    sketch:
-        As in :func:`iter_window_results`: the folder's resolved sketch
-        config, or ``None`` for the exact kernel.
 
     Returns
     -------
@@ -716,7 +712,9 @@ def fold_windows(
         Number of windows folded by this call.
     """
     quantities = tuple(folder.quantities)
-    pairs = iter_window_results(backend_impl, windows, quantities=quantities, sketch=sketch)
+    pairs = iter_window_results(
+        backend_impl, windows, quantities=quantities, sketch=folder.sketch_config
+    )
     # pre-pool only when more than one consumer would otherwise repeat the
     # pooling work; a bare StreamAnalyzer pools internally either way, and
     # both paths run pool_differential_cumulative on the same histogram, so
@@ -763,7 +761,6 @@ def analyze_trace(
     mode: str = "exact",
     sketch: SketchConfig | None = None,
     payload_transport: str | None = None,
-    mmap: bool = False,
 ) -> WindowedAnalysis:
     """Window a trace and analyse every complete ``N_V`` window in one pass.
 
@@ -772,8 +769,9 @@ def analyze_trace(
     trace:
         The packet trace to analyse: an in-memory :class:`PacketTrace`, the
         path of a stored trace (v1 ``.npz`` or v2 sharded directory — the
-        latter is read shard-by-shard, never whole), or an iterator of trace
-        chunks.
+        latter is read shard-by-shard, never whole; ``npy`` shards are
+        memory-mapped), or an iterator of trace chunks.  Every kind is cut
+        into windows by one :class:`~repro.streaming.window.PushWindower`.
     n_valid:
         Window size ``N_V`` in valid packets.
     quantities:
@@ -788,9 +786,10 @@ def analyze_trace(
         ``None`` to derive serial/process from *n_workers* as before.  All
         backends produce bit-identical pooled distributions.
     chunk_packets:
-        Read/cut the trace in chunks of this many packets.  For a stored
-        trace or a chunk stream this bounds the windower's buffer by the
-        chunk size (plus one window) instead of the trace length.
+        Read/cut the trace in chunks of this many packets, bounding the
+        windower's buffer by the chunk size (plus one window) instead of
+        the trace length.  Unset, a stored trace is cut shard by shard,
+        an in-memory trace as one chunk and a chunk stream as given.
     keep_windows:
         Retain per-window :class:`WindowResult`\\ s on the returned analysis.
         Pass ``False`` for a bounded-memory pass: the cross-window products
@@ -813,12 +812,6 @@ def analyze_trace(
         either way; only valid when this call builds the backend (pass it
         to the :class:`~repro.streaming.parallel.ProcessBackend`
         constructor when supplying an instance).
-    mmap:
-        Memory-map stored-trace shards instead of eagerly loading them
-        (uncompressed v2 ``npy`` layouts only; other layouts fall back to
-        the eager read).  With the process backend, fork'd workers then
-        share page cache instead of heap copies.  Ignored for in-memory
-        traces.
 
     Returns
     -------
@@ -829,23 +822,14 @@ def analyze_trace(
         chunk_packets = check_positive_int(chunk_packets, "chunk_packets")
     backend_impl = get_backend(backend, n_workers=n_workers, payload_transport=payload_transport)
 
-    windower: ChunkedWindower | None = None
-    if isinstance(trace, (str, os.PathLike, Path)):
+    if isinstance(trace, (str, os.PathLike)):
         # the analysis never reads time/size, so skip decoding those columns
-        chunks = iter_trace_chunks(trace, chunk_packets, columns=ANALYSIS_COLUMNS, mmap=mmap)
-        windower = ChunkedWindower(chunks, n_valid)
-        windows: Iterator[PacketTrace] = iter(windower)
+        chunks = iter_trace_chunks(trace, chunk_packets, columns=ANALYSIS_COLUMNS)
     elif isinstance(trace, PacketTrace):
-        if chunk_packets is not None:
-            windower = ChunkedWindower(trace.iter_chunks(chunk_packets), n_valid)
-            windows = iter(windower)
-        else:
-            windows = iter_windows(trace, n_valid)
+        chunks = [trace] if chunk_packets is None else trace.iter_chunks(chunk_packets)
     elif isinstance(trace, Iterable):
         # re-cut the caller's chunks so chunk_packets bounds the buffer here too
         chunks = trace if chunk_packets is None else rechunk(trace, chunk_packets)
-        windower = ChunkedWindower(chunks, n_valid)
-        windows = iter(windower)
     else:
         raise TypeError(
             f"trace must be a PacketTrace, a stored-trace path, or an iterable of chunks, "
@@ -856,10 +840,10 @@ def analyze_trace(
     analyzer = StreamAnalyzer(
         n_valid, quantities, keep_windows=keep_windows, mode=mode, sketch=sketch
     )
-    fold_windows(backend_impl, windows, analyzer, sketch=analyzer.sketch_config)
+    windower = PushWindower(n_valid)
+    fold_windows(backend_impl, (w for chunk in chunks for w in windower.push(chunk)), analyzer)
     stats = backend_stats(backend_impl)
-    if windower is not None:
-        # read after the fold so the high-water mark covers the whole pass
-        stats["max_buffered_packets"] = windower.max_buffered_packets
-        stats["n_chunks"] = windower.n_chunks
+    # read after the fold so the high-water mark covers the whole pass
+    stats["max_buffered_packets"] = windower.max_buffered_packets
+    stats["n_chunks"] = windower.n_chunks
     return analyzer.result(stats=stats)

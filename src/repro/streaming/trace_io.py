@@ -11,10 +11,9 @@ Two on-disk formats are supported:
   single-pass engine (:func:`repro.streaming.pipeline.analyze_trace` with
   ``keep_windows=False``) analyse traces far larger than memory.  Two
   shard layouts exist: ``"npz"`` (compressed archives, the default — small
-  on disk, must be decompressed to read) and ``"npy"`` (uncompressed
-  structured-record arrays that :func:`iter_trace_chunks` can memory-map
-  with ``mmap=True``, so fork'd analysis workers share page cache instead
-  of per-process heap copies).
+  on disk, decompressed on every read) and ``"npy"`` (uncompressed
+  structured-record arrays, always memory-mapped on read, so chunks are
+  read-only views of the file's pages).
 
 :func:`save_trace` / :func:`load_trace` keep their v1 behaviour
 (:func:`load_trace` transparently reads either format);
@@ -34,9 +33,8 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from repro._util.logging import get_logger
 from repro._util.validation import check_positive_int
-from repro.streaming.packet import PACKET_DTYPE, PacketTrace, concatenate_traces, join_records
+from repro.streaming.packet import PACKET_DTYPE, PacketTrace, join_records
 
 __all__ = [
     "save_trace",
@@ -50,8 +48,6 @@ __all__ = [
     "ANALYSIS_COLUMNS",
     "LAYOUT_NAMES",
 ]
-
-_logger = get_logger("streaming.trace_io")
 
 
 def write_json_atomic(path: Union[str, os.PathLike], payload) -> Path:
@@ -139,8 +135,13 @@ def _records_from_archive(archive, columns=None) -> np.ndarray:
 
 
 def trace_format(path: Union[str, os.PathLike]) -> int:
-    """Return the on-disk format version of a stored trace (1 or 2)."""
+    """Return the on-disk format version of a stored trace (1 or 2).
+
+    Raises :class:`FileNotFoundError` when nothing exists at *path*.
+    """
     path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no stored trace at {path}")
     if path.is_dir():
         manifest = path / _MANIFEST_NAME
         if not manifest.is_file():
@@ -175,8 +176,8 @@ def save_trace_sharded(
 
     *layout* picks the shard encoding: ``"npz"`` (compressed column
     archives, smallest on disk) or ``"npy"`` (uncompressed structured
-    record arrays — larger, but :func:`iter_trace_chunks` can memory-map
-    them with ``mmap=True`` so parallel analysis shares page cache).
+    record arrays — larger, but read by memory-mapping instead of
+    decompressing).
     """
     shard_packets = check_positive_int(shard_packets, "shard_packets")
     if layout not in LAYOUT_NAMES:
@@ -188,6 +189,8 @@ def save_trace_sharded(
             "directory — pick another path or remove the file first"
         )
     path.mkdir(parents=True, exist_ok=True)
+    # unlink before writing: a reader may still map an old npy shard, and
+    # truncating a mapped file in place would fault that reader's pages
     for extension in LAYOUT_NAMES:
         for stale in path.glob(f"shard-*.{extension}"):
             stale.unlink()
@@ -238,9 +241,17 @@ def _load_v1_records(path: Path, columns: tuple | None = None) -> np.ndarray:
 def load_trace(path: Union[str, os.PathLike]) -> PacketTrace:
     """Load a trace written by :func:`save_trace` or :func:`save_trace_sharded`."""
     path = Path(path)
-    if trace_format(path) == _SHARDED_VERSION:
-        return concatenate_traces(list(iter_trace_chunks(path)))
-    return PacketTrace(_load_v1_records(path))
+    if trace_format(path) != _SHARDED_VERSION:
+        return PacketTrace(_load_v1_records(path))
+    # copy shard by shard so at most one shard is mapped (one open file) at a time
+    records = np.empty(int(_read_manifest(path)["n_packets"]), dtype=PACKET_DTYPE)
+    start = 0
+    for shard in _iter_shards(path):
+        records[start : start + shard.n_packets] = shard.packets
+        start += shard.n_packets
+    if start != records.size:
+        raise ValueError(f"sharded trace {path} holds {start} packets, its manifest says {records.size}")
+    return PacketTrace(records)
 
 
 def iter_trace_chunks(
@@ -248,7 +259,6 @@ def iter_trace_chunks(
     chunk_packets: int | None = None,
     *,
     columns: tuple | None = None,
-    mmap: bool = False,
 ) -> Iterator[PacketTrace]:
     """Stream a stored trace as consecutive :class:`PacketTrace` chunks.
 
@@ -265,46 +275,32 @@ def iter_trace_chunks(
     :data:`ANALYSIS_COLUMNS`); the rest read as zeros and their compressed
     archive members are skipped entirely.  Only opt in when downstream code
     never reads the omitted columns.  (No-op for ``npy``-layout shards,
-    whose records are read — or mapped — whole.)
+    whose records are mapped whole.)
 
-    ``mmap=True`` memory-maps ``npy``-layout shards (``np.load(...,
-    mmap_mode="r")``) instead of copying them onto the heap: chunks become
-    read-only views of the file's pages, which the OS shares across fork'd
-    analysis workers.  Traces in any other layout (compressed ``npz``
-    shards, v1 archives) cannot be mapped and fall back to the eager read
-    with an info-level log — results are identical either way.
+    ``npy``-layout shards are memory-mapped (``np.load(..., mmap_mode="r")``),
+    so their chunks are read-only views of the file's pages; ``npz`` shards
+    and v1 archives are decompressed onto the heap.
     """
     path = Path(path)
     if chunk_packets is not None:
         chunk_packets = check_positive_int(chunk_packets, "chunk_packets")
     if trace_format(path) == _SHARDED_VERSION:
-        chunks = _iter_shards(path, columns, mmap=mmap)
+        chunks = _iter_shards(path, columns)
         if chunk_packets is not None:
             chunks = rechunk(chunks, chunk_packets)
         return chunks
-    if mmap:
-        _logger.info("v1 .npz traces cannot be memory-mapped; reading %s eagerly", path)
     trace = PacketTrace(_load_v1_records(path, columns))
     # iter_chunks already cuts to the exact size; no rechunk pass needed
     return trace.iter_chunks(chunk_packets or max(1, trace.n_packets))
 
 
-def _iter_shards(
-    path: Path, columns: tuple | None = None, *, mmap: bool = False
-) -> Iterator[PacketTrace]:
+def _iter_shards(path: Path, columns: tuple | None = None) -> Iterator[PacketTrace]:
     """Yield the shards of a v2 trace in manifest order, one at a time."""
     manifest = _read_manifest(path)
     layout = str(manifest.get("layout", "npz"))
-    if mmap and layout != "npy":
-        _logger.info(
-            "sharded trace %s stores compressed %s shards, which cannot be "
-            "memory-mapped; reading eagerly (re-save with layout='npy' to mmap)",
-            path, layout,
-        )
-        mmap = False
     for entry in manifest["shards"]:
         if layout == "npy":
-            records = np.load(path / entry["file"], mmap_mode="r" if mmap else None)
+            records = np.load(path / entry["file"], mmap_mode="r")
             if records.dtype != PACKET_DTYPE:
                 raise ValueError(
                     f"shard {entry['file']} of {path} has dtype {records.dtype}, "

@@ -8,9 +8,9 @@ along inside whichever window they fall into but do not count toward the
 budget); a trailing partial window is dropped so every emitted window is
 statistically comparable.
 
-:class:`ChunkedWindower` is the out-of-core counterpart: it consumes an
-iterator of trace *chunks* (e.g. :func:`repro.streaming.trace_io.iter_trace_chunks`)
-and yields exactly the same windows as :func:`iter_windows` would on the
+:class:`PushWindower` is the out-of-core counterpart: fed trace *chunks*
+one at a time (e.g. from :func:`repro.streaming.trace_io.iter_trace_chunks`),
+it cuts exactly the same windows as :func:`iter_windows` would on the
 concatenated trace, while only ever buffering one chunk plus the leftover
 packets of the current incomplete window.
 """
@@ -27,7 +27,6 @@ from repro.streaming.packet import PacketTrace, join_records
 __all__ = [
     "iter_windows",
     "iter_batches",
-    "ChunkedWindower",
     "PushWindower",
     "count_windows",
     "window_boundaries",
@@ -97,8 +96,9 @@ def iter_windows(trace: PacketTrace, n_valid: int) -> Iterator[PacketTrace]:
 class PushWindower:
     """Incremental push-driven windower: feed chunks, receive cut windows.
 
-    The *push* counterpart of :class:`ChunkedWindower` — and its actual
-    implementation.  Each pushed chunk is cut where its valid packets
+    The one window cutter of the engine: one-shot analyses push every
+    chunk of their input through it, the resident service daemon every
+    ingested batch.  Each pushed chunk is cut where its valid packets
     complete a window, counting the valid packets still pending from
     earlier pushes, so for **any** re-batching of the same packet stream
     the emitted windows are packet-identical to
@@ -118,7 +118,8 @@ class PushWindower:
         window — at most one window's worth plus the tail of the last chunk.
     max_buffered_packets:
         High-water mark of the internal packet buffer: the pending packets
-        plus the chunk being cut.
+        plus the chunk being cut — bounded by the largest chunk plus one
+        window's worth, which keeps the engine's memory O(chunk), not O(trace).
     n_chunks:
         Number of chunks pushed so far.
     """
@@ -213,45 +214,3 @@ class PushWindower:
         self.n_chunks = int(state["n_chunks"])
         self.max_buffered_packets = int(state["max_buffered_packets"])
 
-
-class ChunkedWindower:
-    """Single-pass windower over an iterator of trace chunks.
-
-    The buffer always starts at a window boundary (emitted windows are cut
-    off the front), so window boundaries computed chunk-locally coincide with
-    the global boundaries of the concatenated trace: for any chunking of a
-    trace, ``ChunkedWindower(chunks, n_valid)`` yields packet-identical
-    windows to ``iter_windows(full_trace, n_valid)``.  The cutting itself
-    lives in :class:`PushWindower` (this class is the pull-style adapter
-    over it), so batch analyses and the resident service daemon share one
-    windowing code path.
-
-    Attributes
-    ----------
-    max_buffered_packets:
-        High-water mark of the internal packet buffer — bounded by the
-        largest chunk plus one window's worth of leftover packets, which is
-        what makes the streaming engine's memory O(chunk), not O(trace).
-    n_chunks:
-        Number of chunks consumed so far.
-    """
-
-    def __init__(self, chunks: Iterable[PacketTrace], n_valid: int) -> None:
-        self.n_valid = check_positive_int(n_valid, "n_valid")
-        self._chunks = iter(chunks)
-        self._pusher = PushWindower(self.n_valid)
-
-    @property
-    def max_buffered_packets(self) -> int:
-        """High-water mark of the internal packet buffer."""
-        return self._pusher.max_buffered_packets
-
-    @property
-    def n_chunks(self) -> int:
-        """Number of chunks consumed so far."""
-        return self._pusher.n_chunks
-
-    def __iter__(self) -> Iterator[PacketTrace]:
-        for chunk in self._chunks:
-            yield from self._pusher.push(chunk)
-        # the trailing partial window (if any) is dropped, matching iter_windows

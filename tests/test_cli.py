@@ -160,10 +160,10 @@ class TestGenerateSharded:
         assert "note:" not in out
 
 
-class TestShmAndMmapFlags:
+class TestShmFlagAndNpyLayout:
     @pytest.fixture(scope="class")
     def npy_trace_dir(self, tmp_path_factory):
-        """A v2 sharded trace written with the mmappable npy layout."""
+        """A v2 sharded trace written with the memory-mapped npy layout."""
         path = tmp_path_factory.mktemp("cli-npy") / "trace-v2"
         code = main(
             [
@@ -183,22 +183,19 @@ class TestShmAndMmapFlags:
         assert code == 2
         assert "--shard-packets" in capsys.readouterr().out
 
-    def test_mmap_analyze_matches_eager(self, npy_trace_dir, capsys):
-        code = main(
-            ["analyze", str(npy_trace_dir), "--nv", "10000",
-             "--quantities", "source_fanout"]
-        )
-        assert code == 0
-        eager_out = capsys.readouterr().out
-        code = main(
-            ["analyze", str(npy_trace_dir), "--nv", "10000",
-             "--quantities", "source_fanout", "--mmap"]
-        )
-        assert code == 0
-        mmap_out = capsys.readouterr().out
-        assert "mapping trace shards" in mmap_out
+    def test_npy_analyze_matches_npz(self, npy_trace_dir, tmp_path, capsys):
+        npz_dir = tmp_path / "trace-npz"
+        assert main(["generate", str(npz_dir), "--nodes", "2000", "--packets", "30000",
+                     "--seed", "6", "--shard-packets", "8000"]) == 0
+        capsys.readouterr()
+        outputs = []
+        for path in (npy_trace_dir, npz_dir):
+            code = main(["analyze", str(path), "--nv", "10000", "--quantities", "source_fanout"])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert f"reading trace from {npy_trace_dir}" in outputs[0]
         marker = "windows of N_V"
-        assert eager_out.split(marker)[1] == mmap_out.split(marker)[1]
+        assert outputs[0].split(marker)[1] == outputs[1].split(marker)[1]
 
     def test_payload_transport_printed_and_identical(self, npy_trace_dir, capsys):
         outputs = {}
@@ -421,6 +418,12 @@ class TestFailurePaths:
     def test_fit_errors_are_one_line(self, trace_file, capsys, nv, needles):
         code = main(["fit", str(trace_file), "--nv", nv])
         self._assert_clean_error(capsys, code, *needles)
+
+    @pytest.mark.parametrize("command", [["analyze", "--nv", "1000"], ["fit"]])
+    def test_missing_trace_path(self, tmp_path, capsys, command):
+        missing = tmp_path / "no-such.npz"
+        code = main([command[0], str(missing), *command[1:]])
+        self._assert_clean_error(capsys, code, "no stored trace at", str(missing))
 
     def test_campaign_run_negative_max_cells(self, tmp_path, capsys):
         code = main(["campaign", "run", "--store", str(tmp_path / "s"),

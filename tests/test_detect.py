@@ -333,12 +333,13 @@ class TestScenarioIntegration:
             analyzer = StreamAnalyzer(500, ("source_fanout",), keep_windows=False)
             detecting = DetectingAnalyzer(analyzer, DETECTOR_NAMES)
             from repro.scenarios.source import ScenarioTraceSource
-            from repro.streaming.window import ChunkedWindower
+            from repro.streaming.window import PushWindower
 
             source = ScenarioTraceSource(scenario, seed=0, chunk_packets=2_000)
-            windower = ChunkedWindower(iter(source), 500)
-            for window in windower:
-                detecting.update(analyze_window(window))
+            windower = PushWindower(500)
+            for chunk in source:
+                for window in windower.push(chunk):
+                    detecting.update(analyze_window(window))
             return detecting, windower
 
         short, _ = run_phases(10_000)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.scenarios import Phase, Scenario, ScenarioTraceSource
 from repro.analysis.phases import PhaseSegmentedAnalyzer
 from repro.streaming.pipeline import StreamAnalyzer, analyze_window
-from repro.streaming.window import ChunkedWindower
+from repro.streaming.window import PushWindower
 
 # each example generates and windows full scenario traces — deselected by `pytest -m "not slow"` (fast local loop)
 pytestmark = pytest.mark.slow
@@ -112,13 +112,13 @@ class TestAttributionPartition:
     )
     def test_every_window_in_exactly_one_phase(self, scenario, seed, n_valid):
         source = ScenarioTraceSource(scenario, seed=seed, chunk_packets=512)
-        windower = ChunkedWindower(iter(source), n_valid)
+        windower = PushWindower(n_valid)
         analyzer = StreamAnalyzer(n_valid, ("source_fanout",))
         segmenter = PhaseSegmentedAnalyzer(
             n_valid, scenario.n_phases, source.phase_of_valid_index, ("source_fanout",)
         )
         n_windows = 0
-        for window in windower:
+        for window in (w for chunk in source for w in windower.push(chunk)):
             result = analyze_window(window)
             analyzer.update(result)
             segmenter.update(result)

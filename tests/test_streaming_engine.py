@@ -30,6 +30,7 @@ from repro.streaming.parallel import (
 import repro.streaming.pipeline as pipeline
 from repro.streaming.pipeline import (
     BATCH_WINDOWS,
+    MODE_NAMES,
     StreamAnalyzer,
     WindowedAnalysis,
     iter_window_results,
@@ -40,12 +41,13 @@ from repro.streaming.trace_io import (
     ANALYSIS_COLUMNS,
     iter_trace_chunks,
     load_trace,
+    read_json,
     save_trace,
     save_trace_sharded,
     trace_format,
+    write_json_atomic,
 )
 from repro.streaming.window import (
-    ChunkedWindower,
     PushWindower,
     iter_batches,
     iter_windows,
@@ -77,27 +79,32 @@ class TestStreamingMoments:
             moments.update(np.zeros((2, 2)))
 
 
-class TestChunkedWindower:
+def _push_all(windower: PushWindower, chunks) -> list:
+    """Every window *windower* cuts from *chunks*, pushed in order."""
+    return [window for chunk in chunks for window in windower.push(chunk)]
+
+
+class TestPushWindower:
     def test_equivalent_to_iter_windows(self, small_trace):
         full = list(iter_windows(small_trace, 20_000))
         for chunk_packets in (3_000, 20_000, 37_000, 200_000):
-            chunked = list(ChunkedWindower(small_trace.iter_chunks(chunk_packets), 20_000))
+            chunked = _push_all(PushWindower(20_000), small_trace.iter_chunks(chunk_packets))
             assert len(chunked) == len(full)
             for expected, got in zip(full, chunked):
                 assert np.array_equal(expected.packets, got.packets)
 
     def test_empty_trace(self):
-        assert list(ChunkedWindower(iter([]), 100)) == []
-        assert list(ChunkedWindower([PacketTrace.empty()], 100)) == []
+        assert _push_all(PushWindower(100), []) == []
+        assert _push_all(PushWindower(100), [PacketTrace.empty()]) == []
 
     def test_zero_valid_packets(self):
         trace = PacketTrace.from_arrays([1, 2, 3], [4, 5, 6], valid=[False, False, False])
         assert list(iter_windows(trace, 2)) == []
-        assert list(ChunkedWindower(trace.iter_chunks(2), 2)) == []
+        assert _push_all(PushWindower(2), trace.iter_chunks(2)) == []
 
     def test_trailing_partial_window_dropped(self):
         trace = PacketTrace.from_arrays(np.arange(10), np.arange(10) + 100)
-        windows = list(ChunkedWindower(trace.iter_chunks(3), 4))
+        windows = _push_all(PushWindower(4), trace.iter_chunks(3))
         assert len(windows) == 2  # 10 valid packets → two windows of 4, partial 2 dropped
         assert all(w.n_valid == 4 for w in windows)
 
@@ -105,7 +112,7 @@ class TestChunkedWindower:
         valid = np.array([True, False, True, True, False, True, True, True])
         trace = PacketTrace.from_arrays(np.arange(8), np.arange(8) + 10, valid=valid)
         for chunk_packets in (1, 3, 8):
-            windows = list(ChunkedWindower(trace.iter_chunks(chunk_packets), 3))
+            windows = _push_all(PushWindower(3), trace.iter_chunks(chunk_packets))
             expected = list(iter_windows(trace, 3))
             assert len(windows) == len(expected) == 2
             for a, b in zip(expected, windows):
@@ -113,8 +120,8 @@ class TestChunkedWindower:
 
     def test_buffer_high_water_mark_bounded(self, small_trace):
         chunk_packets = 5_000
-        windower = ChunkedWindower(small_trace.iter_chunks(chunk_packets), 10_000)
-        windows = list(windower)
+        windower = PushWindower(10_000)
+        windows = _push_all(windower, small_trace.iter_chunks(chunk_packets))
         assert windows
         # leftover (< one window span) + one chunk; windows of 10k valid packets
         # span ~10k packets here, so the buffer never approaches the trace size
@@ -123,7 +130,7 @@ class TestChunkedWindower:
 
     def test_rejects_non_trace_chunks(self):
         with pytest.raises(TypeError):
-            list(ChunkedWindower([np.arange(3)], 2))
+            PushWindower(2).push(np.arange(3))
 
 
 def _reference_window_ends(valid: np.ndarray, n_valid: int) -> np.ndarray:
@@ -249,6 +256,17 @@ class TestShardedTraceIO:
         (tmp_path / "not-a-trace").mkdir()
         with pytest.raises(ValueError):
             trace_format(tmp_path / "not-a-trace")
+
+    def test_missing_path_rejected(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no stored trace at"):
+            trace_format(tmp_path / "nope")
+
+    def test_load_checks_manifest_packet_count(self, small_trace, tmp_path):
+        path = save_trace_sharded(small_trace.slice(0, 20_000), tmp_path / "t2", shard_packets=7_000)
+        manifest = read_json(path / "manifest.json")
+        write_json_atomic(path / "manifest.json", {**manifest, "n_packets": 20_001})
+        with pytest.raises(ValueError, match="its manifest says 20001"):
+            load_trace(path)
 
     def test_sharded_over_existing_file_rejected(self, small_trace, tmp_path):
         path = save_trace(small_trace, tmp_path / "t.npz")
@@ -890,6 +908,65 @@ class TestAnalysisColumnReads:
         in_memory = analyze_trace(small_trace, 20_000, keep_windows=False)
         assert from_disk == in_memory
 
+
+
+#: Every input kind ``analyze_trace`` accepts; each becomes one chunk stream
+#: cut by one PushWindower, so each must give the in-memory answer.
+_INPUT_KINDS = ("in-memory", "in-memory-chunked", "chunk-iterable", "v1-file", "npz-shards", "npy-shards")
+
+
+class TestEveryInputKind:
+    N_VALID = 8_000
+
+    @pytest.fixture(scope="class")
+    def trace(self, small_trace):
+        return small_trace.slice(0, 60_000)
+
+    @pytest.fixture(scope="class")
+    def stored(self, trace, tmp_path_factory):
+        root = tmp_path_factory.mktemp("input-kinds")
+        return {
+            "v1-file": save_trace(trace, root / "v1.npz"),
+            "npz-shards": save_trace_sharded(trace, root / "npz", shard_packets=17_000),
+            "npy-shards": save_trace_sharded(trace, root / "npy", shard_packets=17_000, layout="npy"),
+        }
+
+    def _analyze(self, kind, trace, stored, mode):
+        if kind == "in-memory":
+            source = trace
+        elif kind == "chunk-iterable":
+            source = trace.iter_chunks(13_000)
+        else:
+            source = stored.get(kind, trace)
+        chunk_packets = 11_000 if kind == "in-memory-chunked" else None
+        return analyze_trace(source, self.N_VALID, mode=mode, chunk_packets=chunk_packets)
+
+    @pytest.mark.parametrize("mode", MODE_NAMES)
+    @pytest.mark.parametrize("kind", _INPUT_KINDS)
+    def test_one_answer_and_one_stats_shape(self, trace, stored, kind, mode):
+        reference = self._analyze("in-memory", trace, stored, mode)
+        analysis = self._analyze(kind, trace, stored, mode)
+        assert analysis.n_windows == reference.n_windows > 1
+        for quantity in reference.quantities:
+            mine, theirs = reference.pooled(quantity), analysis.pooled(quantity)
+            assert mine.values.tobytes() == theirs.values.tobytes(), quantity
+            assert mine.sigma.tobytes() == theirs.sigma.tobytes(), quantity
+            merged, other = reference.merged_histogram(quantity), analysis.merged_histogram(quantity)
+            assert merged.degrees.tobytes() == other.degrees.tobytes(), quantity
+            assert merged.counts.tobytes() == other.counts.tobytes(), quantity
+        assert analysis.aggregates_table() == reference.aggregates_table()
+        assert analysis.engine_stats.keys() == reference.engine_stats.keys()
+        assert {"max_buffered_packets", "n_chunks"} <= set(analysis.engine_stats)
+
+    def test_npy_chunks_are_read_only_maps(self, trace, stored):
+        chunks = list(iter_trace_chunks(stored["npy-shards"]))
+        assert len(chunks) == 4
+        for chunk in chunks:
+            assert isinstance(chunk.packets.base, np.memmap)
+            assert not chunk.packets.flags.writeable
+        loaded = load_trace(stored["npy-shards"]).packets
+        assert loaded.flags.writeable and not isinstance(loaded.base, np.memmap)
+        assert loaded.tobytes() == trace.packets.tobytes()
 
 class TestStreamAnalyzerMergedDense:
     def test_merged_histogram_matches_chained_merges(self, small_trace):

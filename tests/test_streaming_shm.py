@@ -1,4 +1,4 @@
-"""Shared-memory payload transport and mmap trace reads.
+"""Shared-memory payload transport and ``npy``-layout trace reads.
 
 Pins the tentpole guarantees of the zero-copy path:
 
@@ -9,12 +9,11 @@ Pins the tentpole guarantees of the zero-copy path:
   aggregates, and alarm sequences on every surface that maps windows;
 * segments leaked by a SIGKILLed creator are reaped at the next publish
   (real-process test, same pattern as the campaign fleet suite);
-* ``npy``-layout shards memory-map bit-identically to the eager reader.
+* memory-mapped ``npy``-layout shards analyse bit-identically on every backend.
 """
 
 from __future__ import annotations
 
-import logging
 import multiprocessing
 import os
 import pickle
@@ -292,7 +291,7 @@ def _leaky_creator(out_path: str) -> None:
     time.sleep(30)  # pragma: no cover - SIGKILL fires first
 
 
-class TestMmapReads:
+class TestNpyLayout:
     @pytest.fixture(scope="class")
     def trace(self):
         return _mixed_trace(60_000, seed=9)
@@ -301,31 +300,14 @@ class TestMmapReads:
         path = save_trace_sharded(trace, tmp_path / "npy", shard_packets=17_000, layout="npy")
         assert load_trace(path).packets.tobytes() == trace.packets.tobytes()
 
-    def test_mmap_chunks_are_file_backed(self, trace, tmp_path):
+    def test_mapped_analysis_bit_identical_on_every_backend(self, trace, tmp_path):
         path = save_trace_sharded(trace, tmp_path / "npy", shard_packets=17_000, layout="npy")
-        chunks = list(iter_trace_chunks(path, mmap=True))
-        assert all(isinstance(chunk.packets.base, np.memmap) for chunk in chunks)
-        eager = np.concatenate([c.packets for c in iter_trace_chunks(path)])
-        mapped = np.concatenate([c.packets for c in chunks])
-        assert mapped.tobytes() == eager.tobytes()
-
-    def test_mmap_analysis_bit_identical_to_eager(self, trace, tmp_path):
-        path = save_trace_sharded(trace, tmp_path / "npy", shard_packets=17_000, layout="npy")
-        eager = analyze_trace(path, 4_000)
-        mapped = analyze_trace(path, 4_000, mmap=True)
-        parallel = analyze_trace(
-            path, 4_000, mmap=True, backend=ProcessBackend(2, payload_transport="shm")
-        )
-        _assert_bit_identical(eager, mapped)
-        _assert_bit_identical(eager, parallel)
+        in_memory = analyze_trace(trace, 4_000)
+        mapped = analyze_trace(path, 4_000)
+        parallel = analyze_trace(path, 4_000, backend=ProcessBackend(2, payload_transport="shm"))
+        _assert_bit_identical(in_memory, mapped)
+        _assert_bit_identical(in_memory, parallel)
         shutdown_shared_pools()
-
-    def test_npz_layout_mmap_falls_back_with_log(self, trace, tmp_path, caplog):
-        path = save_trace_sharded(trace, tmp_path / "npz", shard_packets=17_000)
-        with caplog.at_level(logging.INFO, logger="repro.streaming.trace_io"):
-            mapped = analyze_trace(path, 4_000, mmap=True)
-        assert any("cannot be memory-mapped" in message for message in caplog.messages)
-        assert mapped == analyze_trace(path, 4_000)
 
     def test_unknown_layout_rejected(self, trace, tmp_path):
         with pytest.raises(ValueError, match="unknown shard layout"):
