@@ -10,7 +10,7 @@ generators for worker processes (used by the parallel window pipeline).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 

@@ -29,7 +29,6 @@ from scipy import stats as _sp_stats
 
 from repro._util.rng import RNGLike, as_generator
 from repro._util.validation import check_positive_int
-from repro.analysis.comparison import ks_statistic
 from repro.analysis.histogram import DegreeHistogram, degree_histogram
 from repro.core.distributions import DiscreteDegreeDistribution
 from repro.core.powerlaw_fit import fit_discrete_mle

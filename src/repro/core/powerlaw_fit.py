@@ -26,7 +26,7 @@ from scipy import optimize
 from repro._util.validation import check_positive_int
 from repro.analysis.histogram import DegreeHistogram
 from repro.core.distributions import DiscretePowerLaw
-from repro.core.zeta import riemann_zeta, zeta_prime
+from repro.core.zeta import hurwitz_zeta, riemann_zeta, zeta_prime
 
 __all__ = ["PowerLawFitResult", "fit_discrete_mle", "select_dmin", "fit_power_law"]
 
@@ -80,15 +80,8 @@ def _tail_log_likelihood(alpha: float, degrees: np.ndarray, counts: np.ndarray, 
     """Log-likelihood of the zeta-normalised tail model ``d^{-α}/ζ(α, d_min)``."""
     if alpha <= 1.0:
         return -np.inf
-    # ζ(α, d_min) = ζ(α) − Σ_{d<d_min} d^{-α}
-    norm = riemann_zeta(alpha)
-    if d_min > 1:
-        head = np.arange(1, d_min, dtype=np.float64)
-        norm -= float(np.sum(head ** (-alpha)))
-    if norm <= 0:
-        return -np.inf
     n = counts.sum()
-    return float(-alpha * np.dot(counts, np.log(degrees)) - n * np.log(norm))
+    return float(-alpha * np.dot(counts, np.log(degrees)) - n * np.log(hurwitz_zeta(alpha, d_min)))
 
 
 def fit_discrete_mle(
@@ -107,14 +100,15 @@ def fit_discrete_mle(
     if degrees.size == 0 or counts.sum() == 0:
         raise ValueError(f"no observations with degree >= d_min={d_min}")
 
+    tail_degrees, tail_counts = degrees.astype(np.float64), counts.astype(np.float64)
     result = optimize.minimize_scalar(
-        lambda a: -_tail_log_likelihood(a, degrees.astype(np.float64), counts.astype(np.float64), d_min),
+        lambda a: -_tail_log_likelihood(a, tail_degrees, tail_counts, d_min),
         bounds=alpha_bounds,
         method="bounded",
         options={"xatol": 1e-6},
     )
     alpha = float(result.x)
-    ll = _tail_log_likelihood(alpha, degrees.astype(np.float64), counts.astype(np.float64), d_min)
+    ll = _tail_log_likelihood(alpha, tail_degrees, tail_counts, d_min)
     ks = _tail_ks(alpha, degrees, counts, d_min)
     return PowerLawFitResult(
         alpha=alpha,

@@ -2,19 +2,16 @@
 
 The PALU model normalises its preferential-attachment core by the Riemann
 zeta function ``ζ(α) = Σ_{n>=1} n^{-α}`` (Section IV of the paper), and the
-modified Zipf–Mandelbrot model normalises by the *generalised harmonic /
-Hurwitz-like* sum ``Σ_{d=1}^{dmax} (d + δ)^{-α}``.  This module provides
-those sums with a pure-Python/NumPy implementation (Euler–Maclaurin
-acceleration) so the library does not depend on MATLAB's ``zeta`` builtin,
-plus thin wrappers that are cross-checked against :func:`scipy.special.zeta`
-in the test-suite.
+modified Zipf–Mandelbrot model normalises by the truncated Hurwitz sum
+``Σ_{d=1}^{dmax} (d + δ)^{-α}``.  Every convergent sum here comes from one
+Hurwitz zeta, :func:`scipy.special.zeta`; only the truncated sums for
+``α <= 1``, where the infinite series diverge, are summed directly.
 
 All functions broadcast over NumPy arrays where that is meaningful.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Union
 
 import numpy as np
@@ -33,68 +30,21 @@ __all__ = [
 
 ArrayLike = Union[float, np.ndarray]
 
-#: Number of explicitly summed terms before the Euler–Maclaurin tail is applied.
-_EM_TERMS = 64
 
-#: Bernoulli numbers B_2, B_4, ..., B_12 used in the Euler–Maclaurin correction.
-_BERNOULLI_EVEN = np.array(
-    [1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0],
-    dtype=np.float64,
-)
-
-
-def _euler_maclaurin_tail(alpha: np.ndarray, start: float, q: float) -> np.ndarray:
-    """Euler–Maclaurin estimate of ``Σ_{n>=start} (n+q)^{-α}``.
-
-    Uses the integral term, the half-correction, and six Bernoulli
-    corrections, which gives ~1e-14 relative accuracy for ``α > 1`` once
-    ``start`` is a few tens.
-    """
-    a = start + q
-    # ∫_start^∞ (x+q)^(-α) dx = a^(1-α) / (α-1)
-    tail = a ** (1.0 - alpha) / (alpha - 1.0)
-    # half of the first omitted term
-    tail += 0.5 * a ** (-alpha)
-    # Bernoulli corrections: B_{2k}/(2k)! * (α)(α+1)...(α+2k-2) * a^{-(α+2k-1)}
-    rising = np.ones_like(alpha)
-    factorial = 1.0
-    for k, b2k in enumerate(_BERNOULLI_EVEN, start=1):
-        rising = rising * (alpha + (2 * k - 2)) * (alpha + (2 * k - 3)) if k > 1 else alpha
-        factorial *= (2 * k) * (2 * k - 1)
-        tail += (b2k / factorial) * rising * a ** (-(alpha + 2 * k - 1))
-    return tail
-
-
-def riemann_zeta(alpha: ArrayLike, *, method: str = "euler-maclaurin") -> ArrayLike:
+def riemann_zeta(alpha: ArrayLike) -> ArrayLike:
     """Riemann zeta function ``ζ(α)`` for real ``α > 1``.
 
     Parameters
     ----------
     alpha:
         Exponent(s); every entry must satisfy ``α > 1``.
-    method:
-        ``"euler-maclaurin"`` (default) uses the library's own accelerated
-        series; ``"scipy"`` delegates to :func:`scipy.special.zeta`.  Both
-        agree to ~1e-12 relative tolerance and the scipy route is kept mainly
-        as an independent cross-check for the tests.
 
     Returns
     -------
     float or ndarray
         ``ζ(α)`` with the same shape as *alpha*.
     """
-    arr = np.asarray(alpha, dtype=np.float64)
-    if np.any(arr <= 1.0):
-        raise ValueError("riemann_zeta requires alpha > 1 for convergence")
-    if method == "scipy":
-        out = _sp_special.zeta(arr, 1.0)
-    elif method == "euler-maclaurin":
-        out = hurwitz_zeta(arr, 1.0)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'euler-maclaurin' or 'scipy'")
-    if np.isscalar(alpha) or (isinstance(alpha, np.ndarray) and alpha.ndim == 0):
-        return float(out)
-    return out
+    return hurwitz_zeta(alpha, 1.0)
 
 
 def hurwitz_zeta(alpha: ArrayLike, q: float) -> ArrayLike:
@@ -104,17 +54,13 @@ def hurwitz_zeta(alpha: ArrayLike, q: float) -> ArrayLike:
     the support is unbounded: ``Σ_{d>=1} (d + δ)^{-α} = ζ(α, 1 + δ)``.
     """
     q = check_positive(q, "q")
-    arr = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    arr = np.asarray(alpha, dtype=np.float64)
     if np.any(arr <= 1.0):
-        raise ValueError("hurwitz_zeta requires alpha > 1 for convergence")
-    n = np.arange(_EM_TERMS, dtype=np.float64)
-    # explicit head: Σ_{n=0}^{N-1} (n+q)^{-α}, vectorised over alpha
-    head = np.sum((n[None, :] + q) ** (-arr[..., None]), axis=-1)
-    tail = _euler_maclaurin_tail(arr, float(_EM_TERMS), q)
-    out = head + tail
-    if np.isscalar(alpha) or (isinstance(alpha, np.ndarray) and np.ndim(alpha) == 0):
-        return float(out[0])
-    return out.reshape(np.shape(alpha))
+        raise ValueError("zeta requires alpha > 1 for convergence")
+    out = _sp_special.zeta(arr, q)
+    if arr.ndim == 0:
+        return float(out)
+    return out
 
 
 def truncated_zeta(alpha: float, dmax: int) -> float:
@@ -131,23 +77,19 @@ def truncated_zeta(alpha: float, dmax: int) -> float:
 def truncated_hurwitz(alpha: float, delta: float, dmax: int) -> float:
     """Truncated Zipf–Mandelbrot normaliser ``Σ_{d=1}^{dmax} (d + δ)^{-α}``.
 
-    Requires ``1 + δ > 0`` so that every term is well defined.  For large
-    ``dmax`` the sum is split into an explicit head and an Euler–Maclaurin
-    estimated mid-section to keep the evaluation O(1) in ``dmax``; for small
-    ``dmax`` the direct sum is used.
+    Requires ``1 + δ > 0`` so that every term is well defined.  For ``α > 1``
+    this is ``ζ(α, 1 + δ) − ζ(α, dmax + 1 + δ)``, O(1) in ``dmax``; for
+    ``α <= 1`` the Hurwitz series diverge, so the terms are summed directly.
     """
     dmax = check_positive_int(dmax, "dmax")
     alpha = float(alpha)
     delta = float(delta)
     if 1.0 + delta <= 0.0:
         raise ValueError(f"delta must satisfy 1 + delta > 0, got delta={delta!r}")
-    if dmax <= 4 * _EM_TERMS or alpha <= 1.0:
+    if alpha <= 1.0:
         d = np.arange(1, dmax + 1, dtype=np.float64)
         return float(np.sum((d + delta) ** (-alpha)))
-    # head + (full tail) - (tail beyond dmax)
-    full = hurwitz_zeta(alpha, 1.0 + delta)
-    beyond = hurwitz_zeta(alpha, float(dmax + 1) + delta)
-    return float(full - beyond)
+    return hurwitz_zeta(alpha, 1.0 + delta) - hurwitz_zeta(alpha, dmax + 1.0 + delta)
 
 
 def generalized_harmonic(n: int, alpha: float) -> float:

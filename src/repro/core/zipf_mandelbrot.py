@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from repro._util.validation import check_positive, check_positive_int
-from repro.analysis.pooling import PooledDistribution, log2_bin_edges
+from repro.analysis.pooling import PooledDistribution, pool_probability_vector
 from repro.core.distributions import ZipfMandelbrotDistribution
 
 __all__ = [
@@ -92,13 +92,8 @@ def zm_differential_cumulative(dmax: int, alpha: float, delta: float) -> PooledD
     pmf on ``1..dmax`` pooled into the bins ``d_i = 2^i``.
     """
     dmax = check_positive_int(dmax, "dmax")
-    degrees = np.arange(1, dmax + 1, dtype=np.int64)
-    pmf = zm_probability(degrees.astype(np.float64), alpha, delta)
-    edges = log2_bin_edges(dmax)
-    bin_idx = np.ceil(np.log2(degrees.astype(np.float64))).astype(np.int64)
-    values = np.zeros(edges.size, dtype=np.float64)
-    np.add.at(values, bin_idx, pmf)
-    return PooledDistribution(bin_edges=edges, values=values, total=0)
+    degrees = np.arange(1, dmax + 1, dtype=np.float64)
+    return pool_probability_vector(zm_probability(degrees, alpha, delta))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from repro.scenarios.families import build_family_edges
 from repro.scenarios.scenario import Scenario
 from repro.streaming.packet import PacketTrace
 from repro.streaming.trace_generator import (
-    TraceConfig,
     TrafficSubstrate,
     edge_rate_weights,
     emit_packets,

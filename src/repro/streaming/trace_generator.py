@@ -21,7 +21,7 @@ observation model, with the window length controlling the effective ``p``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import networkx as nx

@@ -11,7 +11,7 @@ from scipy.stats import poisson
 from repro.analysis.histogram import DegreeHistogram, degree_histogram
 from repro.analysis.moments import poisson_moment_rhs
 from repro.core.palu_fit import PALUFitResult, fit_palu, solve_lambda_from_ratio
-from repro.core.palu_model import PALUParameters, degree_distribution, reduced_parameters
+from repro.core.palu_model import PALUParameters, reduced_parameters
 
 
 def _exact_palu_histogram(

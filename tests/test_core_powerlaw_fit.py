@@ -68,6 +68,8 @@ class TestSelectDmin:
     def test_pure_power_law_prefers_small_dmin(self, powerlaw_sample):
         d_min = select_dmin(powerlaw_sample)
         assert d_min <= 4
+        # the cutoff picked when the tail normaliser was ζ(α) minus the head sum
+        assert d_min == 1
 
     def test_zm_contaminated_head_prefers_larger_dmin(self):
         # a large positive delta flattens the head relative to any pure power
@@ -77,6 +79,8 @@ class TestSelectDmin:
         )
         d_min = select_dmin(hist)
         assert d_min >= 2
+        # the cutoff picked when the tail normaliser was ζ(α) minus the head sum
+        assert d_min == 67
 
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError):
@@ -90,7 +94,7 @@ class TestFitPowerLaw:
 
     def test_select_cutoff_path(self, powerlaw_sample):
         fit = fit_power_law(powerlaw_sample, select_cutoff=True)
-        assert fit.d_min >= 1
+        assert fit.d_min == 1
         assert fit.alpha == pytest.approx(2.3, abs=0.1)
 
     def test_as_row_keys(self, powerlaw_sample):

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from repro.analysis.comparison import pooled_relative_error
 from repro.analysis.histogram import degree_histogram
 from repro.analysis.pooling import pool_differential_cumulative, PooledDistribution
 from repro.core.distributions import ZipfMandelbrotDistribution
 from repro.core.zipf_mandelbrot import zm_differential_cumulative
-from repro.core.zm_fit import ZMFitResult, fit_zipf_mandelbrot, fit_zipf_mandelbrot_histogram
+from repro.core.zm_fit import _objective, _pooled_model, fit_zipf_mandelbrot, fit_zipf_mandelbrot_histogram
 
 
 def _pooled_from_model(alpha: float, delta: float, dmax: int) -> PooledDistribution:
@@ -105,3 +108,63 @@ class TestFitValidation:
         )
         assert fit.alpha in (1.9, 2.0, 2.1)
         assert fit.delta in (-0.6, -0.5, -0.4)
+
+
+def _mass_rtol(alpha: float) -> float:
+    """Tolerance of the binned masses: zetas near ``α = 1`` share more digits."""
+    return 1e-12 if alpha >= 1.01 else 1e-8
+
+
+_ALPHAS = st.one_of(st.floats(1.0 + 1e-6, 1.01), st.floats(1.01, 10.0))
+_DMAXES = st.integers(1, 200_000)
+
+
+class TestBinnedObjective:
+    """The O(bins) model of the fit objective against the dense pooled pmf."""
+
+    @given(alpha=_ALPHAS, delta=st.floats(-1.0, 10.0, exclude_min=True), dmax=_DMAXES)
+    @example(alpha=1.0 + 1e-6, delta=0.0, dmax=2**16 + 1)
+    @example(alpha=1.01, delta=10.0, dmax=2**17 + 1)
+    @example(alpha=2.0, delta=-0.5, dmax=1)
+    def test_bin_masses_match_dense_pmf(self, alpha, delta, dmax):
+        # dmax = 2^k + 1 leaves one degree in the last bin, far out: there the
+        # zeta difference would cancel to a few digits without the direct sum
+        dense = zm_differential_cumulative(dmax, alpha, delta)
+        binned = _pooled_model(dmax, alpha, delta)
+        np.testing.assert_array_equal(binned.bin_edges, dense.bin_edges)
+        np.testing.assert_allclose(binned.values, dense.values, rtol=_mass_rtol(alpha), atol=0)
+
+    @given(
+        alpha=_ALPHAS,
+        delta=st.floats(-1.0 + 1e-9, 10.0, exclude_min=True),
+        dmax=_DMAXES,
+        n_observed_bins=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        use_sigma=st.booleans(),
+    )
+    def test_objective_matches_dense_objective(self, alpha, delta, dmax, n_observed_bins, seed, use_sigma):
+        # the observation may reach past the model's last bin, has gaps where
+        # its bins are empty, and may carry σ weights
+        rng = np.random.default_rng(seed)
+        values = np.where(rng.random(n_observed_bins) < 0.7, rng.random(n_observed_bins), 0.0)
+        sigma = rng.uniform(1e-4, 1e-2, n_observed_bins) if use_sigma else None
+        observed = PooledDistribution(
+            bin_edges=2 ** np.arange(n_observed_bins), values=values, sigma=sigma
+        ).nonzero()
+        weights = None if sigma is None else 1.0 / np.square(observed.sigma)
+        dense = pooled_relative_error(
+            observed, zm_differential_cumulative(dmax, alpha, delta), log_space=True, weights=weights
+        )
+        # a relative error r in each mass moves each log10 residual by at most
+        # r/ln(10), so the mean square by at most sqrt(dense)·r + r²
+        rtol = _mass_rtol(alpha)
+        binned = _objective(np.array([alpha, delta]), observed, dmax, weights)
+        assert binned == pytest.approx(dense, rel=1e-12, abs=np.sqrt(dense) * rtol + rtol**2)
+
+    def test_alpha_at_most_one_is_fitted_on_the_dense_pmf(self):
+        # the Hurwitz zetas diverge for α <= 1, where only the dense branch of
+        # the objective can score the grid points
+        pooled = _pooled_from_model(0.8, -0.5, 2000)
+        fit = fit_zipf_mandelbrot(pooled, 2000, alpha_grid=[0.6, 0.8, 1.2])
+        assert fit.alpha == pytest.approx(0.8, abs=1e-3)
+        assert fit.delta == pytest.approx(-0.5, abs=1e-2)

@@ -8,7 +8,6 @@ the right sign) rather than absolute numbers.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.experiments import (
