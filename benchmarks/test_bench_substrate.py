@@ -2,9 +2,9 @@
 
 These are not tied to a specific table or figure; they track the performance
 of the hot paths every experiment goes through — trace generation, windowing,
-degree histogramming, pooling, sampling from the discrete distributions, and
-the zeta normalisers — so regressions in the vectorised kernels are caught by
-``pytest benchmarks/ --benchmark-only``.
+degree histogramming, pooling, sampling from the discrete distributions,
+graph synthesis, and the zeta normalisers — so regressions in the vectorised
+kernels are caught by ``pytest benchmarks/ --benchmark-only``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.experiments.config import default_palu_parameters
 from repro.generators.configuration_model import configuration_model_edges
 from repro.generators.degree_sequence import sample_power_law_degrees
 from repro.generators.palu_graph import generate_palu_graph
+from repro.generators.preferential_attachment import shifted_preferential_attachment_edges
 from repro.generators.sampling import sample_edges_array
 from repro.streaming.trace_generator import generate_trace
 from repro.streaming.window import window_boundaries
@@ -69,6 +70,19 @@ def test_configuration_model_kernel(benchmark):
     degrees = sample_power_law_degrees(100_000, 2.0, dmax=10_000, rng=7)
     edges = benchmark(configuration_model_edges, degrees, rng=8)
     assert edges.shape[0] > 0
+
+
+def test_shifted_preferential_attachment_10k_nodes(benchmark):
+    # the single-edge growth is O(n log n); the dense per-step replay it
+    # replaced took over ten times as long at this size
+    edges = benchmark.pedantic(
+        shifted_preferential_attachment_edges,
+        args=(10_000, 1),
+        kwargs={"alpha": 2.5, "rng": 10},
+        rounds=5,
+        iterations=1,
+    )
+    assert edges.shape == (9_999, 2)
 
 
 def test_edge_sampling_kernel(benchmark):

@@ -6,7 +6,9 @@ This module provides the error measures used for that minimisation and for
 the model-comparison experiments:
 
 * :func:`pooled_relative_error` — the log-space error on pooled bins used as
-  the fitting objective (robust over the many decades the data span),
+  the fitting objective (robust over the many decades the data span), and
+  :func:`pooled_error_scorer`, the same error with the observation aligned
+  once for a fit that scores many models,
 * :func:`ks_statistic` — Kolmogorov–Smirnov distance between an empirical
   histogram and a model distribution,
 * :func:`chi_square_statistic` — Pearson χ² on pooled bins,
@@ -18,18 +20,19 @@ the model-comparison experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.analysis.histogram import DegreeHistogram
-from repro.analysis.pooling import PooledDistribution, pool_probability_vector
+from repro.analysis.pooling import PooledDistribution, bin_alignment, pool_probability_vector
 
 if TYPE_CHECKING:  # pragma: no cover - import avoided at runtime to keep analysis/core acyclic
     from repro.core.distributions import DiscreteDegreeDistribution
 
 __all__ = [
     "pooled_relative_error",
+    "pooled_error_scorer",
     "ks_statistic",
     "chi_square_statistic",
     "log_likelihood",
@@ -67,23 +70,49 @@ def pooled_relative_error(
     float
         Mean (weighted) squared error over the informative bins.
     """
-    aligned = model.align_to(observed.bin_edges)
+    score = pooled_error_scorer(observed, model.bin_edges, log_space=log_space, weights=weights)
+    return score(model.values)
+
+
+def pooled_error_scorer(
+    observed: PooledDistribution,
+    model_edges: np.ndarray,
+    *,
+    log_space: bool = True,
+    weights: np.ndarray | None = None,
+) -> Callable[[np.ndarray], float]:
+    """:func:`pooled_relative_error` against models pooled on *model_edges*.
+
+    The observation is aligned, masked and, in log space, transformed once;
+    the returned function takes a model's pooled values on *model_edges* and
+    returns exactly what :func:`pooled_relative_error` returns for it.  A fit
+    that scores many models on the same bins builds it once.
+    """
     obs = observed.values
-    mod = aligned.values
     mask = obs > 0
     if not np.any(mask):
-        return 0.0
-    if log_space:
-        err = np.log10(np.maximum(obs[mask], _LOG_FLOOR)) - np.log10(np.maximum(mod[mask], _LOG_FLOOR))
-    else:
-        err = obs[mask] - mod[mask]
+        return lambda values: 0.0
+    gather = bin_alignment(model_edges, observed.bin_edges)[mask]
+    target = np.log10(np.maximum(obs[mask], _LOG_FLOOR)) if log_space else obs[mask]
+    w = None
     if weights is not None:
         w_full = np.asarray(weights, dtype=np.float64)
         if w_full.shape != obs.shape:
             raise ValueError("weights must have one entry per observed bin")
         w = w_full[mask]
-        return float(np.sum(w * err**2) / np.sum(w))
-    return float(np.mean(err**2))
+        w_sum = np.sum(w)
+
+    def score(values: np.ndarray) -> float:
+        mod = np.append(values, 0.0)[gather]
+        if log_space:
+            err = target - np.log10(np.maximum(mod, _LOG_FLOOR))
+        else:
+            err = target - mod
+        if w is None:
+            return float(np.mean(err**2))
+        return float(np.sum(w * err**2) / w_sum)
+
+    return score
 
 
 def ks_statistic(histogram: DegreeHistogram, model: DiscreteDegreeDistribution) -> float:

@@ -33,6 +33,7 @@ __all__ = [
     "pool_differential_cumulative",
     "pool_probability_vector",
     "aggregate_pooled",
+    "bin_alignment",
 ]
 
 
@@ -45,6 +46,23 @@ def log2_bin_edges(dmax: int) -> np.ndarray:
     dmax = check_positive_int(dmax, "dmax")
     n_bins = int(np.ceil(np.log2(dmax))) + 1 if dmax > 1 else 1
     return 2 ** np.arange(n_bins, dtype=np.int64)
+
+
+def bin_alignment(source_edges: np.ndarray, target_edges: np.ndarray) -> np.ndarray:
+    """For each of *target_edges*, the index of the source bin with that edge.
+
+    Entries with no source bin are ``-1``, so ``np.append(values, 0.0)[index]``
+    re-expresses source *values* on the target bins, zero-filled.  Should an
+    edge repeat, only its last target entry is filled, from its last source
+    bin.
+    """
+    index = np.full(len(target_edges), -1, dtype=np.int64)
+    pos = {int(e): i for i, e in enumerate(target_edges)}
+    for j, e in enumerate(source_edges):
+        i = pos.get(int(e))
+        if i is not None:
+            index[i] = j
+    return index
 
 
 def _log2_bin_index_unchecked(arr: np.ndarray) -> np.ndarray:
@@ -130,15 +148,9 @@ class PooledDistribution:
         compare distributions measured on windows with different ``dmax``.
         """
         edges = np.asarray(edges, dtype=np.int64)
-        values = np.zeros(edges.size, dtype=np.float64)
-        sigma = None if self.sigma is None else np.zeros(edges.size, dtype=np.float64)
-        pos = {int(e): i for i, e in enumerate(edges)}
-        for j, e in enumerate(self.bin_edges):
-            i = pos.get(int(e))
-            if i is not None:
-                values[i] = self.values[j]
-                if sigma is not None and self.sigma is not None:
-                    sigma[i] = self.sigma[j]
+        index = bin_alignment(self.bin_edges, edges)
+        values = np.append(self.values, 0.0)[index]
+        sigma = None if self.sigma is None else np.append(self.sigma, 0.0)[index]
         return PooledDistribution(bin_edges=edges, values=values, sigma=sigma, total=self.total)
 
     def probability_sum(self) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from repro._util.validation import check_positive_int
 from repro.analysis.histogram import DegreeHistogram
@@ -120,15 +120,29 @@ def fit_discrete_mle(
 
 
 def _tail_ks(alpha: float, degrees: np.ndarray, counts: np.ndarray, d_min: int) -> float:
-    """KS distance between the empirical tail cdf and the fitted tail model."""
-    dmax = int(degrees.max())
-    support = np.arange(d_min, dmax + 1, dtype=np.float64)
-    weights = support ** (-alpha)
-    model_cdf = np.cumsum(weights) / weights.sum()
-    emp = np.zeros(support.size, dtype=np.float64)
-    emp[degrees - d_min] = counts
-    emp_cdf = np.cumsum(emp) / emp.sum()
-    return float(np.max(np.abs(emp_cdf - model_cdf)))
+    """KS distance between the empirical tail cdf and the fitted tail model.
+
+    Both cdfs run over ``d_min..dmax``.  The empirical one is a step function
+    that rises only at an observed degree ``o_j``, and the model one rises
+    at every degree, so their largest gap sits at some ``o_j`` or just
+    before it, at ``o_j - 1``, where the empirical cdf still holds its
+    previous value.  Those ``2·len(degrees)`` points are the only ones
+    evaluated.  For ``α > 1`` the model cdf at ``k`` is
+    ``(ζ(α, d_min) − ζ(α, k+1)) / (ζ(α, d_min) − ζ(α, dmax+1))``, so the
+    cost does not grow with ``dmax``; for ``α <= 1`` the series diverge and
+    the support is summed directly.
+    """
+    emp = np.cumsum(counts) / counts.sum()
+    emp_points = np.concatenate(([0.0], emp[:-1], emp))
+    points = np.concatenate((degrees - 1, degrees)).astype(np.float64)
+    if alpha > 1.0:
+        head = special.zeta(alpha, d_min)
+        tails = special.zeta(alpha, points + 1.0)
+        model = (head - tails) / (head - tails[-1])
+    else:
+        cdf = np.cumsum(np.arange(d_min, degrees[-1] + 1, dtype=np.float64) ** -alpha)
+        model = np.concatenate(([0.0], cdf))[(points - (d_min - 1)).astype(np.int64)] / cdf[-1]
+    return float(np.max(np.abs(emp_points - model)))
 
 
 def select_dmin(

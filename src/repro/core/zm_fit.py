@@ -17,8 +17,10 @@ log-log plots of Figure 3 weight every decade equally.
 One evaluation costs O(bins), not O(dmax).  For ``α > 1`` the unnormalised
 model mass of the bin ``lo..hi`` is a difference of Hurwitz zetas,
 ``ζ(α, lo+δ) − ζ(α, hi+1+δ)``; the masses of the model's own log2 bins over
-``1..dmax`` are normalised by their sum and then aligned onto the
-observation's bins, exactly as the dense model curve would be.  For
+``1..dmax`` are normalised by their sum and then gathered onto the
+observation's bins through an index map built once per fit
+(:func:`~repro.analysis.comparison.pooled_error_scorer`), which aligns them
+exactly as the dense model curve would be.  For
 ``α <= 1`` the series diverge, so the objective pools the dense pmf over
 ``1..dmax`` instead (:func:`~repro.core.zipf_mandelbrot.zm_differential_cumulative`,
 which also draws the plotted model curve and is the tests' reference).
@@ -27,13 +29,13 @@ which also draws the plotted model curve and is the tests' reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize, special
 
 from repro._util.validation import check_positive_int
-from repro.analysis.comparison import pooled_relative_error
+from repro.analysis.comparison import pooled_error_scorer
 from repro.analysis.histogram import DegreeHistogram
 from repro.analysis.pooling import PooledDistribution, log2_bin_edges, pool_differential_cumulative
 from repro.core.zipf_mandelbrot import ZipfMandelbrotModel, zm_differential_cumulative
@@ -120,7 +122,8 @@ def _pooled_model(dmax: int, alpha: float, delta: float) -> PooledDistribution:
     return PooledDistribution(bin_edges=edges, values=masses / masses.sum())
 
 
-def _objective(params: np.ndarray, observed: PooledDistribution, dmax: int, weights) -> float:
+def _objective(params: np.ndarray, score: Callable[[np.ndarray], float], dmax: int) -> float:
+    """*score* (a :func:`pooled_error_scorer` on ``log2_bin_edges(dmax)``) of the model at *params*."""
     alpha, delta = float(params[0]), float(params[1])
     if alpha <= 0.05 or alpha > 10.0 or 1.0 + delta <= 1e-9:
         return 1e6
@@ -128,7 +131,7 @@ def _objective(params: np.ndarray, observed: PooledDistribution, dmax: int, weig
         model = zm_differential_cumulative(dmax, alpha, delta)
     else:
         model = _pooled_model(dmax, alpha, delta)
-    return pooled_relative_error(observed, model, log_space=True, weights=weights)
+    return score(model.values)
 
 
 def fit_zipf_mandelbrot(
@@ -179,11 +182,13 @@ def fit_zipf_mandelbrot(
             weights = w
 
     n_informative = int(np.count_nonzero(observed.values > 0))
+    # both model branches pool onto the log2 bins of 1..dmax
+    score = pooled_error_scorer(observed, log2_bin_edges(dmax), log_space=True, weights=weights)
 
     best = (np.inf, None, None)
     for alpha in alphas:
         for delta in deltas:
-            err = _objective(np.array([alpha, delta]), observed, dmax, weights)
+            err = _objective(np.array([alpha, delta]), score, dmax)
             if err < best[0]:
                 best = (err, float(alpha), float(delta))
     best_err, best_alpha, best_delta = best
@@ -195,7 +200,7 @@ def fit_zipf_mandelbrot(
         result = optimize.minimize(
             _objective,
             x0=np.array([best_alpha, best_delta]),
-            args=(observed, dmax, weights),
+            args=(score, dmax),
             method="Nelder-Mead",
             options={"xatol": 1e-4, "fatol": 1e-8, "maxiter": 2000},
         )

@@ -146,8 +146,8 @@ def generate_palu_graph(
         ``"configuration"`` (default; zeta-law degree sequence wired by the
         configuration model — fast, exactly matching the analysis, and valid
         for any ``α``) or ``"preferential-attachment"`` (shifted-kernel
-        growth — slower, matching the paper's narrative construction, and
-        only able to reach exponents ``α > 2``).
+        growth, matching the paper's narrative construction, and only able
+        to reach exponents ``α > 2``).
     core_dmax:
         Truncation of the core degree law; defaults to ``max(1000, n_core)``.
     rng, seed:

@@ -11,10 +11,11 @@ from repro.analysis.comparison import (
     compare_models,
     ks_statistic,
     log_likelihood,
+    pooled_error_scorer,
     pooled_relative_error,
 )
 from repro.analysis.histogram import degree_histogram
-from repro.analysis.pooling import pool_differential_cumulative, pool_probability_vector
+from repro.analysis.pooling import PooledDistribution, pool_differential_cumulative, pool_probability_vector
 from repro.analysis.summary import format_table, summarize_graph, summarize_window
 from repro.core.distributions import DiscretePowerLaw, ZipfMandelbrotDistribution
 
@@ -61,6 +62,31 @@ class TestPooledRelativeError:
         model = pool_probability_vector(DiscretePowerLaw(2.5, sample_histogram.dmax).probabilities())
         with pytest.raises(ValueError):
             pooled_relative_error(sample_pooled, model, weights=np.ones(2))
+
+    @pytest.mark.parametrize("log_space", [True, False])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_scorer_matches_aligning_the_model_per_call(
+        self, sample_pooled, sample_histogram, log_space, weighted
+    ):
+        # the model's bins start past the observation's first bin and stop
+        # short of its last, so both ends of the alignment zero-fill
+        full = pool_probability_vector(DiscretePowerLaw(2.5, sample_histogram.dmax // 8).probabilities())
+        model = PooledDistribution(bin_edges=full.bin_edges[1:], values=full.values[1:])
+        weights = np.linspace(1.0, 2.0, sample_pooled.n_bins) if weighted else None
+        mask = sample_pooled.values > 0
+        obs, mod = sample_pooled.values[mask], model.align_to(sample_pooled.bin_edges).values[mask]
+        if log_space:
+            err = np.log10(np.maximum(obs, 1e-300)) - np.log10(np.maximum(mod, 1e-300))
+        else:
+            err = obs - mod
+        if weights is None:
+            expected = float(np.mean(err**2))
+        else:
+            expected = float(np.sum(weights[mask] * err**2) / np.sum(weights[mask]))
+        score = pooled_error_scorer(sample_pooled, model.bin_edges, log_space=log_space, weights=weights)
+        assert score(model.values) == expected
+        assert score(model.values * 0.5) != expected
+        assert pooled_relative_error(sample_pooled, model, log_space=log_space, weights=weights) == expected
 
 
 class TestKSAndChiSquare:

@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.histogram import degree_histogram
 from repro.core.distributions import DiscretePowerLaw, ZipfMandelbrotDistribution
 from repro.core.powerlaw_fit import (
+    _tail_ks,
     fit_discrete_mle,
     fit_power_law,
     mle_score_equation,
@@ -62,6 +63,33 @@ class TestDiscreteMLE:
         model = fit.model(1000)
         assert model.alpha == fit.alpha
         assert model.dmax == 1000
+
+
+def _dense_tail_ks(alpha, degrees, counts, d_min):
+    """Both tail cdfs over the whole support ``d_min..dmax``."""
+    support = np.arange(d_min, int(degrees.max()) + 1, dtype=np.float64)
+    weights = support ** (-alpha)
+    model_cdf = np.cumsum(weights) / weights.sum()
+    emp = np.zeros(support.size, dtype=np.float64)
+    emp[degrees - d_min] = counts
+    emp_cdf = np.cumsum(emp) / emp.sum()
+    return float(np.max(np.abs(emp_cdf - model_cdf)))
+
+
+class TestTailKS:
+    @pytest.mark.parametrize("d_min", [1, 2, 7, 100, 1000])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.01, 1.6, 2.3, 6.0])
+    def test_matches_the_dense_cdfs(self, powerlaw_sample, alpha, d_min):
+        mask = powerlaw_sample.degrees >= d_min
+        degrees, counts = powerlaw_sample.degrees[mask], powerlaw_sample.counts[mask]
+        expected = _dense_tail_ks(alpha, degrees, counts, d_min)
+        assert _tail_ks(alpha, degrees, counts, d_min) == pytest.approx(expected, abs=1e-12)
+
+    def test_cutoff_below_the_smallest_observed_degree(self):
+        # the model's mass on d_min..o_0-1 counts against an empirical cdf of 0
+        degrees, counts = np.array([5, 6, 40]), np.array([3, 0, 2])
+        expected = _dense_tail_ks(2.0, degrees, counts, 2)
+        assert _tail_ks(2.0, degrees, counts, 2) == pytest.approx(expected, abs=1e-12)
 
 
 class TestSelectDmin:

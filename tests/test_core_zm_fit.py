@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.analysis.comparison import pooled_relative_error
+from repro.analysis.comparison import pooled_error_scorer, pooled_relative_error
 from repro.analysis.histogram import degree_histogram
-from repro.analysis.pooling import pool_differential_cumulative, PooledDistribution
+from repro.analysis.pooling import log2_bin_edges, pool_differential_cumulative, PooledDistribution
 from repro.core.distributions import ZipfMandelbrotDistribution
 from repro.core.zipf_mandelbrot import zm_differential_cumulative
 from repro.core.zm_fit import _objective, _pooled_model, fit_zipf_mandelbrot, fit_zipf_mandelbrot_histogram
@@ -158,7 +158,8 @@ class TestBinnedObjective:
         # a relative error r in each mass moves each log10 residual by at most
         # r/ln(10), so the mean square by at most sqrt(dense)·r + r²
         rtol = _mass_rtol(alpha)
-        binned = _objective(np.array([alpha, delta]), observed, dmax, weights)
+        score = pooled_error_scorer(observed, log2_bin_edges(dmax), weights=weights)
+        binned = _objective(np.array([alpha, delta]), score, dmax)
         assert binned == pytest.approx(dense, rel=1e-12, abs=np.sqrt(dense) * rtol + rtol**2)
 
     def test_alpha_at_most_one_is_fitted_on_the_dense_pmf(self):

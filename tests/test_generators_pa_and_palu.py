@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.histogram import degree_histogram
 from repro.core.palu_model import PALUParameters
 from repro.core.powerlaw_fit import fit_discrete_mle
+from repro.generators import preferential_attachment
 from repro.generators.palu_graph import generate_palu_graph
 from repro.generators.preferential_attachment import (
     _choice_without_replacement,
+    _dense_growth,
+    _single_edge_growth,
     attachment_shift_for_alpha,
     generate_preferential_attachment,
     generate_shifted_preferential_attachment,
@@ -101,6 +108,44 @@ class TestShiftedPreferentialAttachment:
         expected = library.choice(n, size=size, replace=False, p=p)
         np.testing.assert_array_equal(_choice_without_replacement(p.copy(), size, replica), expected)
         assert library.random() == replica.random()
+
+    @settings(max_examples=20)
+    @given(
+        n_nodes=st.integers(2, 3000),
+        shift=st.floats(-1.0, 3.0, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_nodes=500, shift=-1.0 + 2.0**-52, seed=3)
+    def test_single_edge_growth_matches_dense_replica(self, n_nodes, shift, seed):
+        """The Fenwick growth picks the dense loop's targets and leaves the
+        generator in the same state, including shifts so close to -1 that
+        the dense kernel clips weights."""
+        fast, dense = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            _single_edge_growth(n_nodes, shift, fast), _dense_growth(n_nodes, 1, shift, dense)
+        )
+        assert fast.bit_generator.state == dense.bit_generator.state
+
+    def test_forced_fallback_replays_every_step_densely(self, monkeypatch):
+        """With an infinite guard band every step falls back to the dense
+        step, and the growth is still the dense loop's."""
+        dense_step = preferential_attachment._dense_step
+        replayed = []
+
+        def spy(degrees, shift, x):
+            replayed.append(degrees.size)
+            return dense_step(degrees, shift, x)
+
+        monkeypatch.setattr(preferential_attachment, "_GUARD_EPS", math.inf)
+        monkeypatch.setattr(preferential_attachment, "_dense_step", spy)
+        n_nodes = 400
+        for seed, shift in enumerate((-0.9, 0.0, 0.7)):
+            fast, dense = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                _single_edge_growth(n_nodes, shift, fast), _dense_growth(n_nodes, 1, shift, dense)
+            )
+            assert fast.bit_generator.state == dense.bit_generator.state
+        assert replayed == list(range(2, n_nodes)) * 3
 
 
 class TestPALUGraph:
