@@ -38,90 +38,7 @@ Quickstart::
     print(fit.as_row())
 """
 
-from repro import analysis, campaigns, core, detect, generators, scenarios, streaming
-from repro.campaigns import (
-    Campaign,
-    CampaignReport,
-    CampaignRun,
-    ResultStore,
-    RunSpec,
-    run_campaign,
-)
-from repro.analysis import (
-    PhaseSegmentedAnalysis,
-    DegreeHistogram,
-    PooledDistribution,
-    aggregate_pooled,
-    compare_models,
-    decompose_topology,
-    degree_histogram,
-    pool_differential_cumulative,
-    summarize_graph,
-)
-from repro.core import (
-    FIG4_PANELS,
-    DiscretePowerLaw,
-    PALUDegreeDistribution,
-    PALUFitResult,
-    PALUParameters,
-    PowerLawFitResult,
-    ZipfMandelbrotDistribution,
-    ZipfMandelbrotModel,
-    ZMFitResult,
-    curve_family,
-    degree_distribution,
-    expected_class_fractions,
-    expected_degree_fractions,
-    expected_degree_one_fraction,
-    fit_palu,
-    fit_power_law,
-    fit_zipf_mandelbrot,
-    fit_zipf_mandelbrot_histogram,
-    reduced_parameters,
-    riemann_zeta,
-    visible_fraction,
-)
-from repro.generators import (
-    generate_erdos_renyi,
-    generate_palu_graph,
-    generate_poisson_stars,
-    generate_preferential_attachment,
-    sample_edges,
-    webcrawl_sample,
-)
-from repro.detect import (
-    DETECTOR_NAMES,
-    DetectingAnalyzer,
-    DetectionResult,
-    DetectorEvaluation,
-    DriftDetector,
-    evaluate_detectors,
-    evaluate_run,
-    get_detector,
-)
-from repro.scenarios import (
-    Phase,
-    Scenario,
-    ScenarioTraceSource,
-    analyze_scenario,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
-from repro.streaming import (
-    PacketTrace,
-    StreamAnalyzer,
-    TrafficImage,
-    WindowedAnalysis,
-    analyze_trace,
-    compute_aggregates,
-    generate_trace,
-    get_backend,
-    iter_trace_chunks,
-    iter_windows,
-    save_trace_sharded,
-    traffic_image,
-)
+from repro._util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -211,3 +128,47 @@ __all__ = [
     "traffic_image",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".campaigns": (
+            "Campaign", "CampaignReport", "CampaignRun", "ResultStore", "RunSpec",
+            "run_campaign",
+        ),
+        ".analysis": (
+            "PhaseSegmentedAnalysis", "DegreeHistogram", "PooledDistribution",
+            "aggregate_pooled", "compare_models", "decompose_topology", "degree_histogram",
+            "pool_differential_cumulative", "summarize_graph",
+        ),
+        ".core": (
+            "FIG4_PANELS", "DiscretePowerLaw", "PALUDegreeDistribution", "PALUFitResult",
+            "PALUParameters", "PowerLawFitResult", "ZipfMandelbrotDistribution",
+            "ZipfMandelbrotModel", "ZMFitResult", "curve_family", "degree_distribution",
+            "expected_class_fractions", "expected_degree_fractions",
+            "expected_degree_one_fraction", "fit_palu", "fit_power_law", "fit_zipf_mandelbrot",
+            "fit_zipf_mandelbrot_histogram", "reduced_parameters", "riemann_zeta",
+            "visible_fraction",
+        ),
+        ".generators": (
+            "generate_erdos_renyi", "generate_palu_graph", "generate_poisson_stars",
+            "generate_preferential_attachment", "sample_edges", "webcrawl_sample",
+        ),
+        ".detect": (
+            "DETECTOR_NAMES", "DetectingAnalyzer", "DetectionResult", "DetectorEvaluation",
+            "DriftDetector", "evaluate_detectors", "evaluate_run", "get_detector",
+        ),
+        ".scenarios": (
+            "Phase", "Scenario", "ScenarioTraceSource", "analyze_scenario", "get_scenario",
+            "register_scenario", "scenario_names",
+        ),
+        ".streaming": (
+            "PacketTrace", "StreamAnalyzer", "TrafficImage", "WindowedAnalysis",
+            "analyze_trace", "compute_aggregates", "generate_trace", "get_backend",
+            "iter_trace_chunks", "iter_windows", "save_trace_sharded", "traffic_image",
+        ),
+    },
+    submodules=(
+        "analysis", "campaigns", "core", "detect", "generators", "scenarios", "streaming",
+    ),
+)

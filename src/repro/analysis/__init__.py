@@ -9,43 +9,7 @@ unattached links, Figure 2), and goodness-of-fit comparisons between
 empirical and model distributions.
 """
 
-from repro.analysis.clustering import (
-    average_clustering,
-    clustering_by_degree,
-    clustering_summary,
-    local_clustering,
-)
-from repro.analysis.comparison import (
-    FitComparison,
-    chi_square_statistic,
-    compare_models,
-    ks_statistic,
-    log_likelihood,
-    pooled_relative_error,
-)
-from repro.analysis.histogram import (
-    DegreeHistogram,
-    cumulative_probability,
-    degree_histogram,
-    probability_from_counts,
-)
-from repro.analysis.moments import StreamingMoments, residual_moment_ratio, residual_moment_sums
-from repro.analysis.phases import PhaseDrift, PhaseSegmentedAnalysis, PhaseSegmentedAnalyzer
-from repro.analysis.pooling import (
-    PooledDistribution,
-    aggregate_pooled,
-    log2_bin_edges,
-    log2_bin_index,
-    pool_differential_cumulative,
-)
-from repro.analysis.reporting import render_pooled_panel, render_series_comparison
-from repro.analysis.summary import NetworkSummary, format_table, summarize_graph, summarize_window
-from repro.analysis.topology import (
-    TopologyDecomposition,
-    decompose_topology,
-    find_supernodes,
-    max_degree,
-)
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "average_clustering",
@@ -84,3 +48,32 @@ __all__ = [
     "find_supernodes",
     "max_degree",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".clustering": (
+            "average_clustering", "clustering_by_degree", "clustering_summary",
+            "local_clustering",
+        ),
+        ".comparison": (
+            "FitComparison", "chi_square_statistic", "compare_models", "ks_statistic",
+            "log_likelihood", "pooled_relative_error",
+        ),
+        ".histogram": (
+            "DegreeHistogram", "cumulative_probability", "degree_histogram",
+            "probability_from_counts",
+        ),
+        ".moments": ("StreamingMoments", "residual_moment_ratio", "residual_moment_sums"),
+        ".phases": ("PhaseDrift", "PhaseSegmentedAnalysis", "PhaseSegmentedAnalyzer"),
+        ".pooling": (
+            "PooledDistribution", "aggregate_pooled", "log2_bin_edges", "log2_bin_index",
+            "pool_differential_cumulative",
+        ),
+        ".reporting": ("render_pooled_panel", "render_series_comparison"),
+        ".summary": ("NetworkSummary", "format_table", "summarize_graph", "summarize_window"),
+        ".topology": (
+            "TopologyDecomposition", "decompose_topology", "find_supernodes", "max_degree",
+        ),
+    },
+)

@@ -20,10 +20,12 @@ for the reproduction's synthetic worlds:
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "local_clustering",

@@ -10,13 +10,15 @@ without any plotting dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.analysis.histogram import DegreeHistogram, degree_histogram
 from repro.analysis.topology import decompose_topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["NetworkSummary", "summarize_graph", "summarize_window", "format_table"]
 

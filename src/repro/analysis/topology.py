@@ -19,12 +19,14 @@ tests consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro._util.validation import check_in_range, check_positive_int
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "TopologyDecomposition",
@@ -37,6 +39,8 @@ __all__ = [
 
 def _as_graph(graph_or_edges: nx.Graph | Sequence) -> nx.Graph:
     """Coerce an edge sequence / array into an undirected simple graph."""
+    import networkx as nx
+
     if isinstance(graph_or_edges, nx.Graph):
         return graph_or_edges
     edges = np.asarray(graph_or_edges)
@@ -144,6 +148,8 @@ def count_unattached_links(graph_or_edges: nx.Graph | Sequence, *, max_component
     With the default of 2 this counts exactly the isolated source–destination
     pairs the paper calls *unattached links*.
     """
+    import networkx as nx
+
     g = _as_graph(graph_or_edges)
     count = 0
     for component in nx.connected_components(g):
@@ -182,6 +188,8 @@ def decompose_topology(
     -------
     TopologyDecomposition
     """
+    import networkx as nx
+
     g = _as_graph(graph_or_edges)
     n_nodes = g.number_of_nodes()
     if large_component_threshold is None:

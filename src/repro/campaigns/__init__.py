@@ -45,10 +45,7 @@ CLI: ``repro campaign run|status|report`` (``run --workers N --worker-id
 k/N`` for fleets; ``status`` reports per-fleet lease state).
 """
 
-from repro.campaigns.report import CampaignReport, fleet_status_rows, lease_rows
-from repro.campaigns.runner import CampaignRun, CellOutcome, parse_worker_id, run_campaign
-from repro.campaigns.spec import Campaign, RunSpec, content_key, scenario_fingerprint
-from repro.campaigns.store import DEFAULT_LEASE_TTL_SECONDS, ResultStore
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "Campaign",
@@ -65,3 +62,13 @@ __all__ = [
     "run_campaign",
     "scenario_fingerprint",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".report": ("CampaignReport", "fleet_status_rows", "lease_rows"),
+        ".runner": ("CampaignRun", "CellOutcome", "parse_worker_id", "run_campaign"),
+        ".spec": ("Campaign", "RunSpec", "content_key", "scenario_fingerprint"),
+        ".store": ("DEFAULT_LEASE_TTL_SECONDS", "ResultStore"),
+    },
+)

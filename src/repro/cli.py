@@ -39,28 +39,13 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.comparison import compare_models
-from repro.analysis.pooling import pool_differential_cumulative, pool_probability_vector
-from repro.analysis.reporting import render_pooled_panel
-from repro.analysis.summary import format_table
-from repro.core.distributions import DiscretePowerLaw
-from repro.core.palu_fit import fit_palu
-from repro.core.palu_model import PALUParameters
-from repro.core.powerlaw_fit import fit_power_law
-from repro.core.zm_fit import fit_zipf_mandelbrot
+# only what the parser needs; each command imports what it runs
 from repro.detect.detectors import DETECTOR_NAMES
-from repro.generators.palu_graph import generate_palu_graph
 from repro.streaming.aggregates import QUANTITY_NAMES
 from repro.streaming.parallel import BACKEND_NAMES
-from repro.streaming.pipeline import MODE_NAMES, analyze_trace
+from repro.streaming.pipeline import MODE_NAMES
 from repro.streaming.sketch import SketchConfig
-from repro.streaming.trace_generator import TraceConfig, generate_trace_from_graph
-from repro.streaming.trace_io import (
-    LAYOUT_NAMES,
-    save_trace,
-    save_trace_sharded,
-    trace_format,
-)
+from repro.streaming.trace_io import LAYOUT_NAMES
 
 __all__ = ["build_parser", "main"]
 
@@ -441,6 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.core.palu_model import PALUParameters
+    from repro.generators.palu_graph import generate_palu_graph
+    from repro.streaming.trace_generator import TraceConfig, generate_trace_from_graph
+    from repro.streaming.trace_io import save_trace, save_trace_sharded
+
     params = PALUParameters.from_weights(
         args.core, args.leaves, args.unattached, lam=args.lam, alpha=args.alpha, strict=False
     )
@@ -468,6 +458,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis.pooling import pool_probability_vector
+    from repro.analysis.reporting import render_pooled_panel
+    from repro.analysis.summary import format_table
+    from repro.streaming.pipeline import analyze_trace
+    from repro.streaming.trace_io import trace_format
+
     # argparse choices allow repeats; naming a quantity twice means "this one"
     args.quantities = list(dict.fromkeys(args.quantities))
     engine = _engine_kwargs(args)
@@ -513,6 +509,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from repro.analysis.comparison import compare_models
+    from repro.analysis.pooling import pool_differential_cumulative
+    from repro.analysis.summary import format_table
+    from repro.core.distributions import DiscretePowerLaw
+    from repro.core.palu_fit import fit_palu
+    from repro.core.powerlaw_fit import fit_power_law
+    from repro.core.zm_fit import fit_zipf_mandelbrot
+    from repro.streaming.pipeline import analyze_trace
+
     analysis = analyze_trace(args.trace, args.nv, quantities=(args.quantity,), keep_windows=False)
     hist = analysis.merged_histogram(args.quantity)
     pooled = pool_differential_cumulative(hist)
@@ -542,6 +547,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro import experiments as exp
+    from repro.analysis.summary import format_table
 
     runners = {
         "table1": lambda: exp.run_table1(),
@@ -579,6 +585,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios_list(args: argparse.Namespace) -> int:
+    from repro.analysis.summary import format_table
     from repro.scenarios import iter_scenarios
 
     rows = [
@@ -620,6 +627,8 @@ def _run_scenario(args: argparse.Namespace, **analysis_kwargs):
 
 
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:
+    from repro.analysis.summary import format_table
+
     args.quantities = list(dict.fromkeys(args.quantities))
     run = _run_scenario(args, quantities=tuple(args.quantities))
     print(f"{run.analysis.n_windows} windows of N_V = {args.nv} valid packets")
@@ -637,6 +646,7 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect_list(args: argparse.Namespace) -> int:
+    from repro.analysis.summary import format_table
     from repro.detect import get_detector
 
     rows = []
@@ -655,6 +665,7 @@ def _cmd_detect_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect_run(args: argparse.Namespace) -> int:
+    from repro.analysis.summary import format_table
     from repro.detect import evaluate_run
     from repro.detect.evaluate import true_change_windows
 
@@ -683,6 +694,7 @@ def _cmd_detect_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    from repro.analysis.summary import format_table
     from repro.campaigns import DEFAULT_LEASE_TTL_SECONDS, Campaign, parse_worker_id, run_campaign
 
     try:
@@ -746,6 +758,7 @@ def _open_store_readonly(path: str):
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
+    from repro.analysis.summary import format_table
     from repro.campaigns import DEFAULT_LEASE_TTL_SECONDS, fleet_status_rows, lease_rows
 
     ttl = DEFAULT_LEASE_TTL_SECONDS if args.lease_ttl is None else args.lease_ttl
@@ -957,6 +970,8 @@ def _cmd_jobs_submit(args: argparse.Namespace) -> int:
 
 def _cmd_jobs_status(args: argparse.Namespace) -> int:
     import time
+
+    from repro.analysis.summary import format_table
 
     if args.min_windows is not None and args.name is None:
         print("error: --min-windows requires a job name")

@@ -14,67 +14,7 @@ This subpackage contains the paper's primary contribution:
   families (Section VI).
 """
 
-from repro.core.distributions import (
-    DiscreteDegreeDistribution,
-    DiscretePowerLaw,
-    GeometricTailDistribution,
-    PALUDegreeDistribution,
-    PoissonDegreeDistribution,
-    ZipfMandelbrotDistribution,
-)
-from repro.core.estimators import (
-    SlopeEstimate,
-    estimate_alpha_loglog,
-    estimate_alpha_pooled,
-    estimate_tail_intercept,
-)
-from repro.core.goodness_of_fit import (
-    LikelihoodRatioResult,
-    PlausibilityResult,
-    bootstrap_parameter_ci,
-    likelihood_ratio_test,
-    power_law_plausibility,
-)
-from repro.core.palu_fit import PALUFitResult, fit_palu, solve_lambda_from_ratio
-from repro.core.palu_model import (
-    PALUParameters,
-    ReducedPALUParameters,
-    degree_distribution,
-    expected_class_fractions,
-    expected_degree_fractions,
-    expected_degree_one_fraction,
-    reduced_parameters,
-    visible_fraction,
-)
-from repro.core.palu_zm_connection import (
-    FIG4_PANELS,
-    PALUZMCurve,
-    curve_family,
-    delta_from_model,
-    palu_zm_differential_cumulative,
-    palu_zm_probability,
-    palu_zm_unnormalized,
-    u_over_c_from_delta,
-    zm_convergence_error,
-)
-from repro.core.powerlaw_fit import PowerLawFitResult, fit_discrete_mle, fit_power_law, select_dmin
-from repro.core.zeta import (
-    generalized_harmonic,
-    hurwitz_zeta,
-    riemann_zeta,
-    truncated_hurwitz,
-    truncated_zeta,
-    zeta_prime,
-)
-from repro.core.zipf_mandelbrot import (
-    ZipfMandelbrotModel,
-    zm_cumulative,
-    zm_differential_cumulative,
-    zm_probability,
-    zm_unnormalized,
-    zm_unnormalized_gradient_delta,
-)
-from repro.core.zm_fit import ZMFitResult, fit_zipf_mandelbrot, fit_zipf_mandelbrot_histogram
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     # distributions
@@ -142,3 +82,45 @@ __all__ = [
     "fit_zipf_mandelbrot",
     "fit_zipf_mandelbrot_histogram",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".distributions": (
+            "DiscreteDegreeDistribution", "DiscretePowerLaw", "GeometricTailDistribution",
+            "PALUDegreeDistribution", "PoissonDegreeDistribution",
+            "ZipfMandelbrotDistribution",
+        ),
+        ".estimators": (
+            "SlopeEstimate", "estimate_alpha_loglog", "estimate_alpha_pooled",
+            "estimate_tail_intercept",
+        ),
+        ".goodness_of_fit": (
+            "LikelihoodRatioResult", "PlausibilityResult", "bootstrap_parameter_ci",
+            "likelihood_ratio_test", "power_law_plausibility",
+        ),
+        ".palu_fit": ("PALUFitResult", "fit_palu", "solve_lambda_from_ratio"),
+        ".palu_model": (
+            "PALUParameters", "ReducedPALUParameters", "degree_distribution",
+            "expected_class_fractions", "expected_degree_fractions",
+            "expected_degree_one_fraction", "reduced_parameters", "visible_fraction",
+        ),
+        ".palu_zm_connection": (
+            "FIG4_PANELS", "PALUZMCurve", "curve_family", "delta_from_model",
+            "palu_zm_differential_cumulative", "palu_zm_probability", "palu_zm_unnormalized",
+            "u_over_c_from_delta", "zm_convergence_error",
+        ),
+        ".powerlaw_fit": (
+            "PowerLawFitResult", "fit_discrete_mle", "fit_power_law", "select_dmin",
+        ),
+        ".zeta": (
+            "generalized_harmonic", "hurwitz_zeta", "riemann_zeta", "truncated_hurwitz",
+            "truncated_zeta", "zeta_prime",
+        ),
+        ".zipf_mandelbrot": (
+            "ZipfMandelbrotModel", "zm_cumulative", "zm_differential_cumulative",
+            "zm_probability", "zm_unnormalized", "zm_unnormalized_gradient_delta",
+        ),
+        ".zm_fit": ("ZMFitResult", "fit_zipf_mandelbrot", "fit_zipf_mandelbrot_histogram"),
+    },
+)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln as _sp_gammaln
 
 from repro._util.rng import RNGLike, as_generator
 from repro._util.validation import (
@@ -220,9 +219,11 @@ class PoissonDegreeDistribution(DiscreteDegreeDistribution):
         self.lam = check_positive(lam, "lam")
 
     def _unnormalized(self, degrees: np.ndarray) -> np.ndarray:
+        from scipy.special import gammaln
+
         d = degrees.astype(np.float64)
         # exp(d log λ - λ - log d!) evaluated stably in log space
-        log_pmf = d * math.log(self.lam) - self.lam - _sp_gammaln(d + 1.0)
+        log_pmf = d * math.log(self.lam) - self.lam - gammaln(d + 1.0)
         return np.exp(log_pmf)
 
     def _repr_params(self) -> dict:
@@ -325,8 +326,10 @@ class PALUDegreeDistribution(DiscreteDegreeDistribution):
                 if self.form == "stirling":
                     log_term = d[1:] * (np.log(self.Lambda) - np.log(d[1:]))
                 else:  # exact Poisson form with m = Λ / e
+                    from scipy.special import gammaln
+
                     m = self.Lambda / math.e
-                    log_term = d[1:] * np.log(m) - _sp_gammaln(d[1:] + 1.0)
+                    log_term = d[1:] * np.log(m) - gammaln(d[1:] + 1.0)
             unattached[1:] = self.u * np.exp(log_term)
         return _PALUComponents(core=core, leaves=leaves, unattached=unattached)
 

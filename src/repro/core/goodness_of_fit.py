@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats as _sp_stats
 
 from repro._util.rng import RNGLike, as_generator
 from repro._util.validation import check_positive_int
@@ -170,8 +169,10 @@ def likelihood_ratio_test(
     if variance <= 0:
         # the models are point-wise identical on the observed support
         return LikelihoodRatioResult(ratio, 0.0, 1.0, "inconclusive")
+    from scipy.stats import norm
+
     normalised = ratio / math.sqrt(n * variance)
-    p_value = 2.0 * float(_sp_stats.norm.sf(abs(normalised)))
+    p_value = 2.0 * float(norm.sf(abs(normalised)))
     if p_value >= 0.05:
         favours = "inconclusive"
     else:

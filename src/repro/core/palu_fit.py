@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro._util.validation import check_fraction, check_positive_int
 from repro.analysis.histogram import DegreeHistogram
@@ -169,7 +168,9 @@ def solve_lambda_from_ratio(ratio: float, *, m_max: float = 200.0) -> float:
     upper = poisson_moment_rhs(m_max)
     if ratio >= upper:
         return m_max
-    return float(optimize.brentq(lambda m: poisson_moment_rhs(m) - ratio, lower, m_max))
+    from scipy.optimize import brentq
+
+    return float(brentq(lambda m: poisson_moment_rhs(m) - ratio, lower, m_max))
 
 
 #: Residual probability mass below which the unattached component is treated

@@ -43,7 +43,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaln as _gammaln
 
 from repro._util.validation import check_fraction, check_in_range, check_nonnegative, check_positive_int
 from repro.core.distributions import PALUDegreeDistribution
@@ -384,8 +383,10 @@ def expected_degree_fractions(
     else:
         raise ValueError(f"unknown method {method!r}; expected 'paper' or 'exact'")
 
+    from scipy.special import gammaln
+
     # unattached star centres of observed degree d (exact Poisson pmf)
-    log_poisson = -lam_p + d_float * (math.log(lam_p) if lam_p > 0 else -np.inf) - _gammaln(d_float + 1.0)
+    log_poisson = -lam_p + d_float * (math.log(lam_p) if lam_p > 0 else -np.inf) - gammaln(d_float + 1.0)
     star_centres = params.unattached * np.where(lam_p > 0, np.exp(log_poisson), 0.0)
 
     out = (core + star_centres) / V
@@ -406,6 +407,8 @@ def _exact_core_degree_probability(alpha: float, p: float, degrees: np.ndarray, 
     zeta weights decay polynomially and the binomial concentrates near
     ``D ≈ d/p``.
     """
+    from scipy.special import gammaln
+
     deg = np.asarray(degrees, dtype=np.int64)
     d_underlying_max = min(_EXACT_CORE_DMAX, max(int(deg.max() / max(p, 1e-6) * 10), 1000))
     D = np.arange(1, d_underlying_max + 1, dtype=np.float64)
@@ -420,7 +423,7 @@ def _exact_core_degree_probability(alpha: float, p: float, degrees: np.ndarray, 
         if p >= 1.0:
             pmf = (Dv == d).astype(np.float64)
         else:
-            log_binom = _gammaln(Dv + 1.0) - _gammaln(d + 1.0) - _gammaln(Dv - d + 1.0)
+            log_binom = gammaln(Dv + 1.0) - gammaln(d + 1.0) - gammaln(Dv - d + 1.0)
             log_pmf = log_binom + d * log_p + (Dv - d) * log_q
             pmf = np.exp(log_pmf)
         out[i] = float(np.sum(weights[valid] * pmf))

@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 from repro._util.validation import check_positive_int
 from repro.analysis.histogram import DegreeHistogram
 from repro.core.distributions import DiscretePowerLaw
-from repro.core.zeta import hurwitz_zeta, riemann_zeta, zeta_prime
+from repro.core.zeta import riemann_zeta, zeta_prime
 
 __all__ = ["PowerLawFitResult", "fit_discrete_mle", "select_dmin", "fit_power_law"]
 
@@ -76,12 +75,16 @@ def _tail_histogram(histogram: DegreeHistogram, d_min: int) -> tuple[np.ndarray,
     return histogram.degrees[mask], histogram.counts[mask]
 
 
-def _tail_log_likelihood(alpha: float, degrees: np.ndarray, counts: np.ndarray, d_min: int) -> float:
-    """Log-likelihood of the zeta-normalised tail model ``d^{-α}/ζ(α, d_min)``."""
+def _tail_log_likelihood(alpha: float, n: float, log_degree_sum: float, d_min: int, zeta) -> float:
+    """Log-likelihood of the zeta-normalised tail model ``d^{-α}/ζ(α, d_min)``.
+
+    *n* and *log_degree_sum* are the tail's ``Σ n(d)`` and ``Σ n(d)·log d``,
+    fixed per ``d_min``; *zeta* is :func:`scipy.special.zeta`, and
+    ``d_min >= 1`` keeps its offset positive.
+    """
     if alpha <= 1.0:
         return -np.inf
-    n = counts.sum()
-    return float(-alpha * np.dot(counts, np.log(degrees)) - n * np.log(hurwitz_zeta(alpha, d_min)))
+    return float(-alpha * log_degree_sum - n * np.log(zeta(alpha, d_min)))
 
 
 def fit_discrete_mle(
@@ -95,20 +98,25 @@ def fit_discrete_mle(
     Maximises ``Σ_d n(d)·[−α log d − log ζ(α, d_min)]`` over *alpha_bounds*
     with a bounded scalar optimiser (the likelihood is unimodal in ``α``).
     """
+    from scipy.optimize import minimize_scalar
+    from scipy.special import zeta
+
     d_min = check_positive_int(d_min, "d_min")
     degrees, counts = _tail_histogram(histogram, d_min)
     if degrees.size == 0 or counts.sum() == 0:
         raise ValueError(f"no observations with degree >= d_min={d_min}")
 
-    tail_degrees, tail_counts = degrees.astype(np.float64), counts.astype(np.float64)
-    result = optimize.minimize_scalar(
-        lambda a: -_tail_log_likelihood(a, tail_degrees, tail_counts, d_min),
+    tail_counts = counts.astype(np.float64)
+    n = tail_counts.sum()
+    log_degree_sum = np.dot(tail_counts, np.log(degrees.astype(np.float64)))
+    result = minimize_scalar(
+        lambda a: -_tail_log_likelihood(a, n, log_degree_sum, d_min, zeta),
         bounds=alpha_bounds,
         method="bounded",
         options={"xatol": 1e-6},
     )
     alpha = float(result.x)
-    ll = _tail_log_likelihood(alpha, tail_degrees, tail_counts, d_min)
+    ll = _tail_log_likelihood(alpha, n, log_degree_sum, d_min, zeta)
     ks = _tail_ks(alpha, degrees, counts, d_min)
     return PowerLawFitResult(
         alpha=alpha,
@@ -136,8 +144,10 @@ def _tail_ks(alpha: float, degrees: np.ndarray, counts: np.ndarray, d_min: int) 
     emp_points = np.concatenate(([0.0], emp[:-1], emp))
     points = np.concatenate((degrees - 1, degrees)).astype(np.float64)
     if alpha > 1.0:
-        head = special.zeta(alpha, d_min)
-        tails = special.zeta(alpha, points + 1.0)
+        from scipy.special import zeta
+
+        head = zeta(alpha, d_min)
+        tails = zeta(alpha, points + 1.0)
         model = (head - tails) / (head - tails[-1])
     else:
         cdf = np.cumsum(np.arange(d_min, degrees[-1] + 1, dtype=np.float64) ** -alpha)

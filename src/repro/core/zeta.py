@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Union
 
 import numpy as np
-from scipy import special as _sp_special
 
 from repro._util.validation import check_positive, check_positive_int
 
@@ -53,11 +52,13 @@ def hurwitz_zeta(alpha: ArrayLike, q: float) -> ArrayLike:
     This is the natural normaliser of the modified Zipf–Mandelbrot model when
     the support is unbounded: ``Σ_{d>=1} (d + δ)^{-α} = ζ(α, 1 + δ)``.
     """
+    from scipy.special import zeta
+
     q = check_positive(q, "q")
     arr = np.asarray(alpha, dtype=np.float64)
     if np.any(arr <= 1.0):
         raise ValueError("zeta requires alpha > 1 for convergence")
-    out = _sp_special.zeta(arr, q)
+    out = zeta(arr, q)
     if arr.ndim == 0:
         return float(out)
     return out

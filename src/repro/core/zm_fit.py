@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize, special
 
 from repro._util.validation import check_positive_int
 from repro.analysis.comparison import pooled_error_scorer
@@ -101,37 +100,50 @@ class ZMFitResult:
         }
 
 
-def _pooled_model(dmax: int, alpha: float, delta: float) -> PooledDistribution:
-    """The model on ``1..dmax`` pooled on its log2 bins in O(bins), for ``α > 1``.
+class _PooledModel:
+    """The model on ``1..dmax`` pooled on its log2 bins, O(bins) per ``(α, δ)``.
 
-    Bin ``i`` holds the degrees ``bounds[i] .. bounds[i+1] - 1``; its mass is
-    ``ζ(α, bounds[i]+δ) − ζ(α, bounds[i+1]+δ)``.  Where a bin is narrow
-    against its offset, as the bin holding ``dmax`` can be, or ``α`` is close
-    to 1, the two zetas share most of their digits: their ratio to the mass
-    is about ``(lo+δ)/(width·(α−1))``.  A bin whose ratio passes
-    ``_MAX_CANCELLATION`` is summed directly instead.
+    The bins are fixed per fit: bin ``i`` holds the degrees ``bounds[i] ..
+    bounds[i+1] - 1`` of ``edges = log2_bin_edges(dmax)``.
     """
-    edges = log2_bin_edges(dmax)
-    bounds = np.append(edges // 2 + 1, dmax + 1)
-    offsets = bounds + delta
-    z = special.zeta(alpha, offsets)
-    masses = z[:-1] - z[1:]
-    cancellation = offsets[:-1] / (np.diff(bounds) * (alpha - 1.0))
-    for i in np.flatnonzero(cancellation > _MAX_CANCELLATION):
-        masses[i] = np.sum((np.arange(bounds[i], bounds[i + 1]) + delta) ** -alpha)
-    return PooledDistribution(bin_edges=edges, values=masses / masses.sum())
+
+    def __init__(self, dmax: int) -> None:
+        from scipy.special import zeta
+
+        self._zeta = zeta
+        self.dmax = dmax
+        self.edges = log2_bin_edges(dmax)
+        self.bounds = np.append(self.edges // 2 + 1, dmax + 1)
+        self.widths = np.diff(self.bounds)
+
+    def masses(self, alpha: float, delta: float) -> np.ndarray:
+        """The normalised bin masses for ``α > 1``.
+
+        Bin ``i``'s mass is ``ζ(α, bounds[i]+δ) − ζ(α, bounds[i+1]+δ)``.
+        Where a bin is narrow against its offset, as the bin holding ``dmax``
+        can be, or ``α`` is close to 1, the two zetas share most of their
+        digits: their ratio to the mass is about ``(lo+δ)/(width·(α−1))``.  A
+        bin whose ratio passes ``_MAX_CANCELLATION`` is summed directly
+        instead.
+        """
+        bounds = self.bounds
+        offsets = bounds + delta
+        z = self._zeta(alpha, offsets)
+        masses = z[:-1] - z[1:]
+        cancellation = offsets[:-1] / (self.widths * (alpha - 1.0))
+        for i in np.flatnonzero(cancellation > _MAX_CANCELLATION):
+            masses[i] = np.sum((np.arange(bounds[i], bounds[i + 1]) + delta) ** -alpha)
+        return masses / masses.sum()
 
 
-def _objective(params: np.ndarray, score: Callable[[np.ndarray], float], dmax: int) -> float:
-    """*score* (a :func:`pooled_error_scorer` on ``log2_bin_edges(dmax)``) of the model at *params*."""
+def _objective(params: np.ndarray, score: Callable[[np.ndarray], float], model: _PooledModel) -> float:
+    """*score* (a :func:`pooled_error_scorer` on ``model.edges``) of the model at *params*."""
     alpha, delta = float(params[0]), float(params[1])
     if alpha <= 0.05 or alpha > 10.0 or 1.0 + delta <= 1e-9:
         return 1e6
     if alpha <= 1.0:
-        model = zm_differential_cumulative(dmax, alpha, delta)
-    else:
-        model = _pooled_model(dmax, alpha, delta)
-    return score(model.values)
+        return score(zm_differential_cumulative(model.dmax, alpha, delta).values)
+    return score(model.masses(alpha, delta))
 
 
 def fit_zipf_mandelbrot(
@@ -183,12 +195,13 @@ def fit_zipf_mandelbrot(
 
     n_informative = int(np.count_nonzero(observed.values > 0))
     # both model branches pool onto the log2 bins of 1..dmax
-    score = pooled_error_scorer(observed, log2_bin_edges(dmax), log_space=True, weights=weights)
+    model = _PooledModel(dmax)
+    score = pooled_error_scorer(observed, model.edges, log_space=True, weights=weights)
 
     best = (np.inf, None, None)
     for alpha in alphas:
         for delta in deltas:
-            err = _objective(np.array([alpha, delta]), score, dmax)
+            err = _objective(np.array([alpha, delta]), score, model)
             if err < best[0]:
                 best = (err, float(alpha), float(delta))
     best_err, best_alpha, best_delta = best
@@ -197,10 +210,12 @@ def fit_zipf_mandelbrot(
 
     converged = False
     if refine:
-        result = optimize.minimize(
+        from scipy.optimize import minimize
+
+        result = minimize(
             _objective,
             x0=np.array([best_alpha, best_delta]),
-            args=(score, dmax),
+            args=(score, model),
             method="Nelder-Mead",
             options={"xatol": 1e-4, "fatol": 1e-8, "maxiter": 2000},
         )

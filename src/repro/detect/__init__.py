@@ -31,24 +31,7 @@ Quickstart::
 CLI: ``repro detect list`` and ``repro detect run <scenario>``.
 """
 
-from repro.detect.analyzer import DetectingAnalyzer, DetectionResult
-from repro.detect.detectors import (
-    DETECTOR_NAMES,
-    CUSUMDetector,
-    DriftDetector,
-    EWMADetector,
-    PageHinkleyDetector,
-    get_detector,
-    make_detectors,
-)
-from repro.detect.evaluate import (
-    DEFAULT_MAX_LATENCY,
-    DetectorEvaluation,
-    evaluate_detectors,
-    evaluate_run,
-    match_alarms,
-    true_change_windows,
-)
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_MAX_LATENCY",
@@ -67,3 +50,18 @@ __all__ = [
     "match_alarms",
     "true_change_windows",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".analyzer": ("DetectingAnalyzer", "DetectionResult"),
+        ".detectors": (
+            "DETECTOR_NAMES", "CUSUMDetector", "DriftDetector", "EWMADetector",
+            "PageHinkleyDetector", "get_detector", "make_detectors",
+        ),
+        ".evaluate": (
+            "DEFAULT_MAX_LATENCY", "DetectorEvaluation", "evaluate_detectors", "evaluate_run",
+            "match_alarms", "true_change_windows",
+        ),
+    },
+)

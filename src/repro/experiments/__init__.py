@@ -18,19 +18,7 @@ plain data rows, so the same code backs the ``benchmarks/`` harnesses, the
   variance, and webcrawl-vs-trunk observation contrasts.
 """
 
-from repro.experiments.config import FIG3_SCENARIOS, Scenario, default_palu_parameters
-from repro.experiments.fig1 import run_fig1
-from repro.experiments.fig2 import run_fig2
-from repro.experiments.fig3 import run_fig3, run_fig3_scenario
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.table1 import run_table1
-from repro.experiments.palu_expectations import run_palu_expectations
-from repro.experiments.palu_recovery import run_palu_recovery
-from repro.experiments.ablations import (
-    run_lambda_estimator_ablation,
-    run_webcrawl_ablation,
-    run_window_invariance_ablation,
-)
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "FIG3_SCENARIOS",
@@ -48,3 +36,21 @@ __all__ = [
     "run_webcrawl_ablation",
     "run_window_invariance_ablation",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("FIG3_SCENARIOS", "Scenario", "default_palu_parameters"),
+        ".fig1": ("run_fig1",),
+        ".fig2": ("run_fig2",),
+        ".fig3": ("run_fig3", "run_fig3_scenario"),
+        ".fig4": ("run_fig4",),
+        ".table1": ("run_table1",),
+        ".palu_expectations": ("run_palu_expectations",),
+        ".palu_recovery": ("run_palu_recovery",),
+        ".ablations": (
+            "run_lambda_estimator_ablation", "run_webcrawl_ablation",
+            "run_window_invariance_ablation",
+        ),
+    },
+)

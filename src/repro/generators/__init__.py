@@ -9,24 +9,7 @@ for the core and a webcrawl/BFS sampler used as the contrast baseline), and
 underlying network.
 """
 
-from repro.generators.configuration_model import generate_configuration_model
-from repro.generators.degree_sequence import (
-    sample_power_law_degrees,
-    sample_zipf_mandelbrot_degrees,
-)
-from repro.generators.erdos_renyi import generate_erdos_renyi
-from repro.generators.palu_graph import PALUGraph, generate_palu_graph
-from repro.generators.poisson_stars import generate_poisson_stars
-from repro.generators.preferential_attachment import (
-    generate_preferential_attachment,
-    generate_shifted_preferential_attachment,
-)
-from repro.generators.sampling import (
-    node_sample,
-    sample_edges,
-    sample_edges_array,
-    webcrawl_sample,
-)
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "generate_configuration_model",
@@ -43,3 +26,18 @@ __all__ = [
     "sample_edges_array",
     "webcrawl_sample",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".configuration_model": ("generate_configuration_model",),
+        ".degree_sequence": ("sample_power_law_degrees", "sample_zipf_mandelbrot_degrees"),
+        ".erdos_renyi": ("generate_erdos_renyi",),
+        ".palu_graph": ("PALUGraph", "generate_palu_graph"),
+        ".poisson_stars": ("generate_poisson_stars",),
+        ".preferential_attachment": (
+            "generate_preferential_attachment", "generate_shifted_preferential_attachment",
+        ),
+        ".sampling": ("node_sample", "sample_edges", "sample_edges_array", "webcrawl_sample"),
+    },
+)

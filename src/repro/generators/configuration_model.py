@@ -13,12 +13,16 @@ sampling noise of the target.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro._util.rng import RNGLike, as_generator
 from repro._util.validation import check_integer_array
 from repro.generators.degree_sequence import make_sum_even
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["generate_configuration_model", "configuration_model_edges"]
 
@@ -55,6 +59,8 @@ def generate_configuration_model(degrees: np.ndarray, rng: RNGLike = None) -> nx
     to self-loop/duplicate removal stay in the graph with degree zero so
     callers can decide whether to treat them as isolated (unobservable).
     """
+    import networkx as nx
+
     degrees = check_integer_array(degrees, "degrees", minimum=0)
     edges = configuration_model_edges(degrees, rng=rng)
     graph = nx.Graph()

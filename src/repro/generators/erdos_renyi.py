@@ -18,11 +18,15 @@ parameterisation option, vectorised over the upper triangle for moderate
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro._util.rng import RNGLike, as_generator
 from repro._util.validation import check_fraction, check_positive_int
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["generate_erdos_renyi", "erdos_renyi_edges"]
 
@@ -78,6 +82,8 @@ def erdos_renyi_edges(n_nodes: int, p: float, rng: RNGLike = None) -> np.ndarray
 
 def generate_erdos_renyi(n_nodes: int, p: float, rng: RNGLike = None) -> nx.Graph:
     """``G(n, p)`` graph on nodes ``0..n_nodes-1``."""
+    import networkx as nx
+
     edges = erdos_renyi_edges(n_nodes, p, rng=rng)
     graph = nx.Graph()
     graph.add_nodes_from(range(n_nodes))

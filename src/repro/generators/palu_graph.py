@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro._util.rng import RNGLike, as_generator
@@ -38,6 +38,9 @@ from repro.generators.configuration_model import configuration_model_edges
 from repro.generators.degree_sequence import sample_power_law_degrees
 from repro.generators.poisson_stars import poisson_star_edges
 from repro.generators.preferential_attachment import shifted_preferential_attachment_edges
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["PALUGraph", "generate_palu_graph"]
 
@@ -71,6 +74,8 @@ class PALUGraph:
     @cached_property
     def graph(self) -> nx.Graph:
         """The underlying network as a graph, built on first access."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n_nodes))
         graph.add_edges_from(self.edges.tolist())

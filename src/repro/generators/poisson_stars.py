@@ -15,12 +15,15 @@ edge array used by the larger composite builders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro._util.rng import RNGLike, as_generator
 from repro._util.validation import check_in_range, check_positive_int
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["PoissonStarBatch", "poisson_star_edges", "generate_poisson_stars"]
 
@@ -115,6 +118,8 @@ def generate_poisson_stars(
     rng:
         Seed or generator.
     """
+    import networkx as nx
+
     batch = poisson_star_edges(n_stars, lam, rng=rng)
     graph = nx.Graph()
     if keep_isolated:

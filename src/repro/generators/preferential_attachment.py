@@ -32,12 +32,15 @@ bit-identical and the whole growth O(n log n).
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro._util.rng import RNGLike, as_generator
 from repro._util.validation import check_in_range, check_positive_int
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "generate_preferential_attachment",
@@ -60,6 +63,8 @@ def generate_preferential_attachment(
     chosen with probability proportional to their current degree.  The
     repeated-endpoint list makes that choice exact and O(1) per draw.
     """
+    import networkx as nx
+
     n_nodes = check_positive_int(n_nodes, "n_nodes", minimum=2)
     m_edges = check_positive_int(m_edges, "m_edges")
     if m_edges >= n_nodes:
@@ -311,6 +316,8 @@ def generate_shifted_preferential_attachment(
     targets with probability proportional to the clipped kernel of the
     current degrees.
     """
+    import networkx as nx
+
     sources, targets = _shifted_growth(n_nodes, m_edges, alpha, shift, rng)
     graph = nx.Graph()
     graph.add_nodes_from(range(n_nodes))

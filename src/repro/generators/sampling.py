@@ -19,17 +19,19 @@ baseline.  Every operator accepts either a :class:`networkx.Graph` or an
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-import networkx as nx
 import numpy as np
 
 from repro._util.rng import RNGLike, as_generator
 from repro._util.validation import check_fraction, check_positive_int
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 __all__ = ["sample_edges", "sample_edges_array", "node_sample", "webcrawl_sample"]
 
-GraphOrEdges = Union[nx.Graph, np.ndarray]
+GraphOrEdges = Union["nx.Graph", np.ndarray]
 
 
 def sample_edges_array(edges: np.ndarray, p: float, rng: RNGLike = None) -> np.ndarray:
@@ -62,6 +64,8 @@ def sample_edges(graph: GraphOrEdges, p: float, rng: RNGLike = None, *, seed: RN
         rng = seed
     if isinstance(graph, np.ndarray):
         return sample_edges_array(graph, p, rng=rng)
+    import networkx as nx
+
     p = check_fraction(p, "p")
     gen = as_generator(rng)
     edge_list = list(graph.edges())
@@ -75,6 +79,8 @@ def sample_edges(graph: GraphOrEdges, p: float, rng: RNGLike = None, *, seed: RN
 
 def node_sample(graph: nx.Graph, p: float, rng: RNGLike = None) -> nx.Graph:
     """Uniform node sampling: keep each node with probability *p*, inducing the subgraph."""
+    import networkx as nx
+
     p = check_fraction(p, "p")
     gen = as_generator(rng)
     nodes = list(graph.nodes())
@@ -103,6 +109,8 @@ def webcrawl_sample(
     unattached components and most leaves, which is exactly the bias the
     PALU model was introduced to correct.
     """
+    import networkx as nx
+
     n_seeds = check_positive_int(n_seeds, "n_seeds")
     if graph.number_of_nodes() == 0:
         return nx.Graph()

@@ -29,18 +29,8 @@ Quickstart::
     run.phases.drift("source_fanout")          # how far each phase moved
 """
 
+from repro._util.lazy import lazy_exports
 from repro.scenarios.builtin import BUILTIN_SCENARIO_NAMES
-from repro.scenarios.families import GRAPH_FAMILY_NAMES, build_family_edges, family_defaults
-from repro.scenarios.run import ScenarioRun, analyze_scenario
-from repro.scenarios.scenario import (
-    Phase,
-    Scenario,
-    get_scenario,
-    iter_scenarios,
-    register_scenario,
-    scenario_names,
-)
-from repro.scenarios.source import DEFAULT_BLOCK_PACKETS, ScenarioTraceSource
 
 __all__ = [
     "BUILTIN_SCENARIO_NAMES",
@@ -58,3 +48,16 @@ __all__ = [
     "register_scenario",
     "scenario_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".families": ("GRAPH_FAMILY_NAMES", "build_family_edges", "family_defaults"),
+        ".run": ("ScenarioRun", "analyze_scenario"),
+        ".scenario": (
+            "Phase", "Scenario", "get_scenario", "iter_scenarios", "register_scenario",
+            "scenario_names",
+        ),
+        ".source": ("DEFAULT_BLOCK_PACKETS", "ScenarioTraceSource"),
+    },
+)

@@ -28,22 +28,7 @@ The pieces:
   reproduces the uninterrupted run bit for bit.
 """
 
-from repro.service.checkpoint import CheckpointPolicy, JobCheckpointer, resume_job
-from repro.service.config import (
-    JOB_CONFIG_VERSION,
-    DetectionSection,
-    JobConfig,
-    JobConfigError,
-    LimitsSection,
-    SketchSection,
-    SourceSection,
-    StoreSection,
-    WindowSection,
-    load_job_config,
-)
-from repro.service.engine import SNAPSHOT_FORMAT, JobEngine, packet_batch_from_json
-from repro.service.jobs import Job, JobRegistry
-from repro.service.server import ServiceDaemon, serve
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "JOB_CONFIG_VERSION",
@@ -67,3 +52,18 @@ __all__ = [
     "resume_job",
     "serve",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".checkpoint": ("CheckpointPolicy", "JobCheckpointer", "resume_job"),
+        ".config": (
+            "JOB_CONFIG_VERSION", "DetectionSection", "JobConfig", "JobConfigError",
+            "LimitsSection", "SketchSection", "SourceSection", "StoreSection", "WindowSection",
+            "load_job_config",
+        ),
+        ".engine": ("SNAPSHOT_FORMAT", "JobEngine", "packet_batch_from_json"),
+        ".jobs": ("Job", "JobRegistry"),
+        ".server": ("ServiceDaemon", "serve"),
+    },
+)

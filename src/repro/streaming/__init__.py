@@ -24,67 +24,7 @@ subpackage provides a laptop-scale replacement for that pipeline:
   the process backend defaults to where the platform supports it.
 """
 
-from repro.streaming.aggregates import (
-    AggregateProperties,
-    compute_aggregates,
-    compute_aggregates_summation,
-    network_quantities,
-)
-from repro.streaming.packet import PACKET_DTYPE, PacketTrace, concatenate_traces
-from repro.streaming.kernel import KERNEL_MAX_ID, fused_products, image_products, window_payload
-from repro.streaming.parallel import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    default_worker_count,
-    get_backend,
-    shutdown_shared_pools,
-    usable_cpu_count,
-)
-from repro.streaming.pipeline import (
-    MODE_NAMES,
-    StreamAnalyzer,
-    WindowedAnalysis,
-    analyze_trace,
-    analyze_window,
-    analyze_window_image,
-    analyze_window_sketch,
-)
-from repro.streaming.shm import (
-    TRANSPORT_NAMES,
-    default_payload_transport,
-    publish_payloads,
-    reap_orphaned_segments,
-    shm_supported,
-)
-from repro.streaming.sketch import (
-    DEFAULT_SKETCH_CONFIG,
-    SketchBounds,
-    SketchConfig,
-    WindowSketch,
-    build_sketch,
-    sketch_products,
-)
-from repro.streaming.sparse_image import TrafficImage, traffic_image
-from repro.streaming.trace_generator import TraceConfig, generate_trace, generate_trace_from_graph
-from repro.streaming.trace_io import (
-    ANALYSIS_COLUMNS,
-    LAYOUT_NAMES,
-    iter_trace_chunks,
-    load_trace,
-    rechunk,
-    save_trace,
-    save_trace_sharded,
-    trace_format,
-)
-from repro.streaming.weighted import (
-    WEIGHTED_QUANTITY_NAMES,
-    byte_histograms,
-    byte_image,
-    weighted_quantities,
-)
-from repro.streaming.window import PushWindower, count_windows, iter_windows
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "AggregateProperties",
@@ -145,3 +85,41 @@ __all__ = [
     "count_windows",
     "iter_windows",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".aggregates": (
+            "AggregateProperties", "compute_aggregates", "compute_aggregates_summation",
+            "network_quantities",
+        ),
+        ".packet": ("PACKET_DTYPE", "PacketTrace", "concatenate_traces"),
+        ".kernel": ("KERNEL_MAX_ID", "fused_products", "image_products", "window_payload"),
+        ".parallel": (
+            "BACKEND_NAMES", "ExecutionBackend", "ProcessBackend", "SerialBackend",
+            "default_worker_count", "get_backend", "shutdown_shared_pools", "usable_cpu_count",
+        ),
+        ".pipeline": (
+            "MODE_NAMES", "StreamAnalyzer", "WindowedAnalysis", "analyze_trace",
+            "analyze_window", "analyze_window_image", "analyze_window_sketch",
+        ),
+        ".shm": (
+            "TRANSPORT_NAMES", "default_payload_transport", "publish_payloads",
+            "reap_orphaned_segments", "shm_supported",
+        ),
+        ".sketch": (
+            "DEFAULT_SKETCH_CONFIG", "SketchBounds", "SketchConfig", "WindowSketch",
+            "build_sketch", "sketch_products",
+        ),
+        ".sparse_image": ("TrafficImage", "traffic_image"),
+        ".trace_generator": ("TraceConfig", "generate_trace", "generate_trace_from_graph"),
+        ".trace_io": (
+            "ANALYSIS_COLUMNS", "LAYOUT_NAMES", "iter_trace_chunks", "load_trace", "rechunk",
+            "save_trace", "save_trace_sharded", "trace_format",
+        ),
+        ".weighted": (
+            "WEIGHTED_QUANTITY_NAMES", "byte_histograms", "byte_image", "weighted_quantities",
+        ),
+        ".window": ("PushWindower", "count_windows", "iter_windows"),
+    },
+)

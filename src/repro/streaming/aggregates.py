@@ -35,12 +35,14 @@ Figure 1's per-entity quantities are computed by :func:`network_quantities`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from repro.analysis.histogram import DegreeHistogram, degree_histogram
-from repro.streaming.sparse_image import TrafficImage
+
+if TYPE_CHECKING:
+    from repro.streaming.sparse_image import TrafficImage
 
 __all__ = [
     "AggregateProperties",

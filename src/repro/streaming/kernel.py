@@ -58,7 +58,6 @@ from repro.streaming.aggregates import (
     quantity_histograms,
 )
 from repro.streaming.packet import PacketTrace
-from repro.streaming.sparse_image import traffic_image
 
 __all__ = [
     "KERNEL_MAX_ID",
@@ -231,6 +230,8 @@ def image_products(src: np.ndarray, dst: np.ndarray) -> WindowProducts:
     independent implementation the property harness checks the kernel
     against, and the fallback for ids the packed key cannot hold.
     """
+    from repro.streaming.sparse_image import traffic_image
+
     image = traffic_image(PacketTrace.from_arrays(src, dst))
     return compute_aggregates(image), quantity_histograms(image)
 

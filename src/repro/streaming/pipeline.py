@@ -52,7 +52,6 @@ from repro.streaming.sketch import (
     WindowSketch,
     sketch_products,
 )
-from repro.streaming.sparse_image import traffic_image
 from repro.streaming.trace_io import ANALYSIS_COLUMNS, iter_trace_chunks, rechunk
 from repro.streaming.window import PushWindower, iter_batches
 
@@ -516,6 +515,8 @@ def analyze_window_image(window: PacketTrace) -> WindowResult:
     you want the :class:`~repro.streaming.sparse_image.TrafficImage`
     compatibility view of the computation.
     """
+    from repro.streaming.sparse_image import traffic_image
+
     image = traffic_image(window)
     return WindowResult(
         aggregates=compute_aggregates(image),

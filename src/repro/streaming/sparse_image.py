@@ -16,11 +16,14 @@ D4M-style matrix formulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.streaming.packet import PacketTrace
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["TrafficImage", "traffic_image"]
 
@@ -93,6 +96,8 @@ def traffic_image(window: PacketTrace) -> TrafficImage:
     Only valid packets contribute.  Row/column order follows the sorted
     distinct source/destination identifiers of the window.
     """
+    from scipy import sparse
+
     valid = window.packets[window.packets["valid"]]
     if valid.size == 0:
         # early exit: no ids to compact, and the (0, 0) shape must stay

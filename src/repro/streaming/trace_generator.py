@@ -22,15 +22,17 @@ observation model, with the window length controlling the effective ``p``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import networkx as nx
 import numpy as np
 
 from repro._util.rng import RNGLike, as_generator
 from repro._util.validation import check_fraction, check_positive, check_positive_int
 from repro.generators.palu_graph import PALUGraph
 from repro.streaming.packet import PACKET_DTYPE, PacketTrace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "EdgeSampler",
@@ -43,7 +45,7 @@ __all__ = [
     "effective_window_p",
 ]
 
-GraphLike = Union[nx.Graph, PALUGraph, np.ndarray]
+GraphLike = Union["nx.Graph", PALUGraph, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,13 @@ class TraceConfig:
 def _edges_of(graph: GraphLike) -> np.ndarray:
     if isinstance(graph, PALUGraph):
         return graph.edges_array()
-    if isinstance(graph, nx.Graph):
-        if graph.number_of_edges() == 0:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.asarray(list(graph.edges()), dtype=np.int64)
+    if not isinstance(graph, np.ndarray):
+        import networkx as nx
+
+        if isinstance(graph, nx.Graph):
+            if graph.number_of_edges() == 0:
+                return np.zeros((0, 2), dtype=np.int64)
+            return np.asarray(list(graph.edges()), dtype=np.int64)
     edges = np.asarray(graph, dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError("edges must be an (m, 2) array of node pairs")

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
-from scipy import sparse
 
 from repro._util.validation import check_positive_int
 from repro.analysis.histogram import DegreeHistogram, degree_histogram
@@ -44,6 +43,8 @@ def byte_image(window: PacketTrace) -> TrafficImage:
     but each entry accumulates the packet *sizes* instead of the packet count,
     so ``Σ_ij B_t(i, j)`` equals the window's total valid bytes.
     """
+    from scipy import sparse
+
     valid = window.packets[window.packets["valid"]]
     if valid.size == 0:
         return TrafficImage(

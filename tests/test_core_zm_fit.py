@@ -12,7 +12,7 @@ from repro.analysis.histogram import degree_histogram
 from repro.analysis.pooling import log2_bin_edges, pool_differential_cumulative, PooledDistribution
 from repro.core.distributions import ZipfMandelbrotDistribution
 from repro.core.zipf_mandelbrot import zm_differential_cumulative
-from repro.core.zm_fit import _objective, _pooled_model, fit_zipf_mandelbrot, fit_zipf_mandelbrot_histogram
+from repro.core.zm_fit import _objective, _PooledModel, fit_zipf_mandelbrot, fit_zipf_mandelbrot_histogram
 
 
 def _pooled_from_model(alpha: float, delta: float, dmax: int) -> PooledDistribution:
@@ -130,9 +130,9 @@ class TestBinnedObjective:
         # dmax = 2^k + 1 leaves one degree in the last bin, far out: there the
         # zeta difference would cancel to a few digits without the direct sum
         dense = zm_differential_cumulative(dmax, alpha, delta)
-        binned = _pooled_model(dmax, alpha, delta)
-        np.testing.assert_array_equal(binned.bin_edges, dense.bin_edges)
-        np.testing.assert_allclose(binned.values, dense.values, rtol=_mass_rtol(alpha), atol=0)
+        model = _PooledModel(dmax)
+        np.testing.assert_array_equal(model.edges, dense.bin_edges)
+        np.testing.assert_allclose(model.masses(alpha, delta), dense.values, rtol=_mass_rtol(alpha), atol=0)
 
     @given(
         alpha=_ALPHAS,
@@ -159,7 +159,7 @@ class TestBinnedObjective:
         # r/ln(10), so the mean square by at most sqrt(dense)·r + r²
         rtol = _mass_rtol(alpha)
         score = pooled_error_scorer(observed, log2_bin_edges(dmax), weights=weights)
-        binned = _objective(np.array([alpha, delta]), score, dmax)
+        binned = _objective(np.array([alpha, delta]), score, _PooledModel(dmax))
         assert binned == pytest.approx(dense, rel=1e-12, abs=np.sqrt(dense) * rtol + rtol**2)
 
     def test_alpha_at_most_one_is_fitted_on_the_dense_pmf(self):
