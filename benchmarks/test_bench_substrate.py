@@ -19,6 +19,7 @@ from repro.core.zeta import riemann_zeta, truncated_hurwitz
 from repro.experiments.config import default_palu_parameters
 from repro.generators.configuration_model import configuration_model_edges
 from repro.generators.degree_sequence import sample_power_law_degrees
+from repro.generators.erdos_renyi import _DENSE_LIMIT, erdos_renyi_edges
 from repro.generators.palu_graph import generate_palu_graph
 from repro.generators.preferential_attachment import shifted_preferential_attachment_edges
 from repro.generators.sampling import sample_edges_array
@@ -69,6 +70,12 @@ def test_inverse_cdf_sampling_kernel(benchmark):
 def test_configuration_model_kernel(benchmark):
     degrees = sample_power_law_degrees(100_000, 2.0, dmax=10_000, rng=7)
     edges = benchmark(configuration_model_edges, degrees, rng=8)
+    assert edges.shape[0] > 0
+
+
+def test_dense_erdos_renyi_at_the_limit(benchmark):
+    # the largest dense G(n, p): one uniform per pair, ~4.5M, drawn in blocks
+    edges = benchmark(erdos_renyi_edges, _DENSE_LIMIT, 0.002, rng=11)
     assert edges.shape[0] > 0
 
 

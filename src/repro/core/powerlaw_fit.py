@@ -171,7 +171,8 @@ def select_dmin(
     if histogram.total == 0:
         raise ValueError("cannot select d_min for an empty histogram")
     if candidates is None:
-        candidates = np.unique(histogram.degrees)
+        # DegreeHistogram keeps its degrees sorted and unique
+        candidates = histogram.degrees
     best_dmin, best_ks = int(candidates[0]), np.inf
     for d_min in candidates:
         d_min = int(d_min)

@@ -46,9 +46,16 @@ def configuration_model_edges(degrees: np.ndarray, rng: RNGLike = None) -> np.nd
     # drop self-loops
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     # canonical (lo, hi) order, then dedupe multi-edges on one packed key
-    # per pair; the unique keys come back in lexicographic (lo, hi) order
+    # per pair: sorted keys are in lexicographic (lo, hi) order; keeping the
+    # first of each run of equal keys gives np.unique's output without the
+    # hash pass numpy >= 2.3 takes for it
     pairs = np.sort(pairs, axis=1)
-    keys = np.unique((pairs[:, 0] << 32) | pairs[:, 1])
+    keys = (pairs[:, 0] << 32) | pairs[:, 1]
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
     return np.column_stack([keys >> 32, keys & 0xFFFFFFFF])
 
 

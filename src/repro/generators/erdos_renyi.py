@@ -11,9 +11,13 @@ Two distinct uses in the paper:
   non-heavy-tailed control whose degree data the power-law fitters must
   *reject*.
 
-This module provides the classic ``G(n, p)`` generator with an edge-count
-parameterisation option, vectorised over the upper triangle for moderate
-``n`` and using geometric skipping for sparse large ``n``.
+This module provides the classic ``G(n, p)`` generator, vectorised over the
+upper triangle for moderate ``n`` and using geometric skipping for sparse
+large ``n``.  The dense path draws one uniform per node pair, but in fixed
+blocks through one reused buffer, so its memory does not grow with ``n²``.
+Its 3,000-node limit is not a memory bound: it fixes which random stream a
+given ``n`` consumes, and with it every recorded edge list and campaign
+content key built from one.
 """
 
 from __future__ import annotations
@@ -30,9 +34,15 @@ if TYPE_CHECKING:
 
 __all__ = ["generate_erdos_renyi", "erdos_renyi_edges"]
 
-#: Above this node count the dense upper-triangle method would allocate too
-#: much memory, so the sparse geometric-skipping sampler is used instead.
+#: Up to this node count ``G(n, p)`` draws one uniform per node pair; above
+#: it, the sparse geometric-skipping sampler draws one gap per edge.  The two
+#: consume different random streams, so moving the limit would change the
+#: edges (and the golden digests and content keys) of every graph in between.
 _DENSE_LIMIT = 3000
+
+#: Uniforms per block of the dense path; blocks reuse one buffer, so the
+#: dense draw never holds more than this many doubles at once.
+_DENSE_BLOCK = 1 << 16
 
 
 def erdos_renyi_edges(n_nodes: int, p: float, rng: RNGLike = None) -> np.ndarray:
@@ -49,7 +59,15 @@ def erdos_renyi_edges(n_nodes: int, p: float, rng: RNGLike = None) -> np.ndarray
         if p == 1.0:
             flat = np.arange(total_pairs, dtype=np.int64)
         else:
-            flat = np.flatnonzero(gen.random(total_pairs) < p)
+            # consecutive fills of one reused buffer draw the same uniforms,
+            # and leave gen in the same state, as one gen.random(total_pairs)
+            buffer = np.empty(min(total_pairs, _DENSE_BLOCK))
+            kept = []
+            for offset in range(0, total_pairs, buffer.size):
+                block = buffer[: total_pairs - offset]
+                gen.random(out=block)
+                kept.append(np.flatnonzero(block < p) + offset)
+            flat = np.concatenate(kept)
         rows = np.arange(n_nodes - 1, dtype=np.int64)
         row_start = rows * n_nodes - rows * (rows + 1) // 2
         i = np.searchsorted(row_start, flat, side="right") - 1

@@ -183,10 +183,12 @@ def generate_palu_graph(
         weights = np.bincount(edges.ravel(), minlength=n_core) + 1.0
         weights /= weights.sum()
         anchors = gen.choice(n_core, size=n_leaves, replace=True, p=weights)
-        lo = np.concatenate([edges[:, 0], anchors])
-        hi = np.concatenate([edges[:, 1], leaf_nodes])
-        order = np.lexsort((hi, lo))
-        edges = np.column_stack([lo[order], hi[order]])
+        # one sort of packed (lo << 32) | hi keys is the lexicographic
+        # (lo, hi) merge; node ids stay far below 2**31
+        keys = np.concatenate([edges[:, 0], anchors]) << 32
+        keys |= np.concatenate([edges[:, 1], leaf_nodes])
+        keys.sort()
+        edges = np.column_stack([keys >> 32, keys & 0xFFFFFFFF])
 
     # unattached Poisson stars, offset past core + leaves; their (centre,
     # leaf) pairs already sort after every core and leaf edge

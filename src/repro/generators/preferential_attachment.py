@@ -296,8 +296,10 @@ def shifted_preferential_attachment_edges(
     edges of the equivalent graph.
     """
     sources, targets = _shifted_growth(n_nodes, m_edges, alpha, shift, rng)
-    order = np.lexsort((sources, targets))
-    return np.column_stack([targets[order], sources[order]])
+    # one sort of packed (target << 32) | source keys orders the rows
+    keys = (targets << 32) | sources
+    keys.sort()
+    return np.column_stack([keys >> 32, keys & 0xFFFFFFFF])
 
 
 def generate_shifted_preferential_attachment(

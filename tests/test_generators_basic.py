@@ -3,10 +3,15 @@ Erdős–Rényi, and Poisson stars."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from repro.generators import erdos_renyi
 from repro.generators.configuration_model import (
     configuration_model_edges,
     generate_configuration_model,
@@ -88,6 +93,49 @@ class TestConfigurationModel:
         edges = configuration_model_edges(np.array([], dtype=np.int64), rng=0)
         assert edges.shape == (0, 2)
 
+    def test_only_self_loops_gives_no_edges(self):
+        edges = configuration_model_edges(np.array([0, 4, 0]), rng=0)
+        assert edges.shape == (0, 2)
+
+    @given(
+        n_nodes=st.integers(1, 60),
+        hubs=st.lists(st.integers(1, 300), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_nodes=3, hubs=[200, 150], seed=0)
+    def test_dedupe_matches_np_unique_reference(self, n_nodes, hubs, seed):
+        """A few hubs hold most stubs, so self-loops and multi-edges are
+        common; the sort-and-mask dedupe keeps exactly np.unique's keys."""
+        shape = np.random.default_rng(seed)
+        degrees = shape.integers(0, 3, size=n_nodes + len(hubs))
+        degrees[shape.choice(degrees.size, size=len(hubs), replace=False)] = hubs
+        fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            configuration_model_edges(degrees, rng=fast),
+            _unique_configuration_model_edges(degrees, reference),
+        )
+        assert fast.bit_generator.state == reference.bit_generator.state
+
+
+def _unique_configuration_model_edges(degrees: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Stub pairing deduped by ``np.unique`` of the packed keys."""
+    degrees = make_sum_even(degrees, rng=gen)
+    stubs = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
+    if stubs.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    gen.shuffle(stubs)
+    pairs = np.sort(stubs.reshape(-1, 2), axis=1)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    keys = np.unique((pairs[:, 0] << 32) | pairs[:, 1])
+    return np.column_stack([keys >> 32, keys & 0xFFFFFFFF])
+
+
+def _upper_triangle_index(edges: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Row-major flat index of each ``(i, j)``, ``i < j``, in the upper triangle."""
+    i, j = edges[:, 0], edges[:, 1]
+    assert np.all((0 <= i) & (i < j) & (j < n_nodes))
+    return i * n_nodes - i * (i + 1) // 2 + j - i - 1
+
 
 class TestErdosRenyi:
     def test_p_zero_gives_no_edges(self):
@@ -125,6 +173,37 @@ class TestErdosRenyi:
         graph = generate_erdos_renyi(2000, 0.005, rng=5)
         degrees = np.array([d for _, d in graph.degree()])
         assert degrees.mean() == pytest.approx(0.005 * 1999, rel=0.1)
+
+    # (n_nodes, block): n = 40 has 780 pairs = 4 x 195 = 19 x 41 + 1 =
+    # 11 x 71 - 1, and under 781; 362 nodes are under one 2**16 block, and
+    # 3000 is the dense limit
+    @pytest.mark.parametrize(
+        "n_nodes, block",
+        [(40, 781), (40, 195), (40, 780), (40, 41), (40, 71), (362, None), (3000, None)],
+    )
+    @pytest.mark.parametrize("p", [0.002, 0.3, 0.97])
+    def test_blockwise_dense_draw_is_one_shot_stream(self, monkeypatch, n_nodes, block, p):
+        """Drawing the pair uniforms block by block keeps the edges and the
+        final generator state of one ``gen.random(total_pairs)`` call."""
+        if block is not None:
+            monkeypatch.setattr(erdos_renyi, "_DENSE_BLOCK", block)
+        total_pairs = n_nodes * (n_nodes - 1) // 2
+        blockwise, one_shot = np.random.default_rng(11), np.random.default_rng(11)
+        edges = erdos_renyi_edges(n_nodes, p, rng=blockwise)
+        expected = np.flatnonzero(one_shot.random(total_pairs) < p)
+        np.testing.assert_array_equal(_upper_triangle_index(edges, n_nodes), expected)
+        assert blockwise.bit_generator.state == one_shot.bit_generator.state
+
+    def test_dense_path_at_the_limit_stays_small(self):
+        erdos_renyi_edges(50, 0.1, rng=0)  # warm up numpy's lazy allocations
+        tracemalloc.start()
+        try:
+            erdos_renyi_edges(erdos_renyi._DENSE_LIMIT, 0.002, rng=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 per pair would be 34 MiB; one block is 0.5 MiB
+        assert peak < 4 * 2**20
 
 
 class TestPoissonStars:

@@ -14,10 +14,14 @@ from repro.analysis.histogram import degree_histogram
 from repro.core.palu_model import PALUParameters
 from repro.core.powerlaw_fit import fit_discrete_mle
 from repro.generators import preferential_attachment
+from repro.generators.configuration_model import configuration_model_edges
+from repro.generators.degree_sequence import sample_power_law_degrees
 from repro.generators.palu_graph import generate_palu_graph
+from repro.generators.poisson_stars import poisson_star_edges
 from repro.generators.preferential_attachment import (
     _choice_without_replacement,
     _dense_growth,
+    _shifted_growth,
     _single_edge_growth,
     attachment_shift_for_alpha,
     generate_preferential_attachment,
@@ -147,6 +151,56 @@ class TestShiftedPreferentialAttachment:
             assert fast.bit_generator.state == dense.bit_generator.state
         assert replayed == list(range(2, n_nodes)) * 3
 
+    @given(
+        n_nodes=st.integers(4, 400),
+        m_edges=st.integers(1, 3),
+        alpha=st.floats(2.1, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_packed_key_order_matches_lexsort(self, n_nodes, m_edges, alpha, seed):
+        fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        edges = shifted_preferential_attachment_edges(n_nodes, m_edges, alpha=alpha, rng=fast)
+        np.testing.assert_array_equal(
+            edges, _lexsorted_pa_edges(n_nodes, m_edges, alpha, reference)
+        )
+        assert fast.bit_generator.state == reference.bit_generator.state
+
+
+def _lexsorted_pa_edges(
+    n_nodes: int, m_edges: int, alpha: float, gen: np.random.Generator
+) -> np.ndarray:
+    """Growth rows ordered by ``np.lexsort`` on ``(target, source)``."""
+    sources, targets = _shifted_growth(n_nodes, m_edges, alpha, None, gen)
+    order = np.lexsort((sources, targets))
+    return np.column_stack([targets[order], sources[order]])
+
+
+def _lexsorted_palu_edges(
+    parameters: PALUParameters, n_nodes: int, core_model: str, gen: np.random.Generator
+) -> np.ndarray:
+    """PALU edges with the core, leaf merge and PA order all by ``np.lexsort``."""
+    n_core = int(round(parameters.core * n_nodes))
+    n_leaves = int(round(parameters.leaves * n_nodes))
+    n_centres = int(round(parameters.unattached * n_nodes))
+    if n_core < 2:
+        edges = np.zeros((0, 2), dtype=np.int64)
+    elif core_model == "configuration":
+        dmax = max(1000, n_core)
+        degrees = sample_power_law_degrees(n_core, parameters.alpha, dmax=dmax, rng=gen)
+        edges = configuration_model_edges(degrees, rng=gen)
+    else:
+        edges = _lexsorted_pa_edges(n_core, 1, parameters.alpha, gen)
+    if n_leaves > 0 and n_core > 0:
+        weights = np.bincount(edges.ravel(), minlength=n_core) + 1.0
+        weights /= weights.sum()
+        anchors = gen.choice(n_core, size=n_leaves, replace=True, p=weights)
+        lo = np.concatenate([edges[:, 0], anchors])
+        hi = np.concatenate([edges[:, 1], np.arange(n_core, n_core + n_leaves)])
+        order = np.lexsort((hi, lo))
+        edges = np.column_stack([lo[order], hi[order]])
+    stars = poisson_star_edges(n_centres, parameters.lam, rng=gen)
+    return np.concatenate([edges, stars.edges + n_core + n_leaves])
+
 
 class TestPALUGraph:
     @pytest.fixture(scope="class")
@@ -226,6 +280,23 @@ class TestPALUGraph:
         palu = generate_palu_graph(params, n_nodes=2000, rng=7)
         mapping = palu.class_of()
         assert len(mapping) == palu.n_nodes
+
+    @given(
+        weights=st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda w: w[0] > 0.05),
+        lam=st.floats(0.5, 4.0),
+        alpha=st.floats(2.1, 3.0),
+        n_nodes=st.integers(10, 2000),
+        core_model=st.sampled_from(["configuration", "preferential-attachment"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_packed_key_merge_matches_lexsort(self, weights, lam, alpha, n_nodes, core_model, seed):
+        params = PALUParameters.from_weights(*weights, lam=lam, alpha=alpha)
+        fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        palu = generate_palu_graph(params, n_nodes, core_model=core_model, rng=fast)
+        np.testing.assert_array_equal(
+            palu.edges, _lexsorted_palu_edges(params, n_nodes, core_model, reference)
+        )
+        assert fast.bit_generator.state == reference.bit_generator.state
 
     def test_seed_alias(self, params):
         a = generate_palu_graph(params, n_nodes=1000, seed=42)
