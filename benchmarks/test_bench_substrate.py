@@ -23,7 +23,15 @@ from repro.generators.erdos_renyi import _DENSE_LIMIT, erdos_renyi_edges
 from repro.generators.palu_graph import generate_palu_graph
 from repro.generators.preferential_attachment import shifted_preferential_attachment_edges
 from repro.generators.sampling import sample_edges_array
-from repro.streaming.trace_generator import generate_trace
+from repro.scenarios.source import DEFAULT_BLOCK_PACKETS
+from repro.streaming.trace_generator import (
+    TraceConfig,
+    TrafficSubstrate,
+    edge_rate_weights,
+    emit_packets,
+    generate_trace,
+)
+from repro.streaming.trace_io import ANALYSIS_COLUMNS
 from repro.streaming.window import window_boundaries
 
 
@@ -90,6 +98,26 @@ def test_shifted_preferential_attachment_10k_nodes(benchmark):
         iterations=1,
     )
     assert edges.shape == (9_999, 2)
+
+
+@pytest.mark.parametrize("columns", [None, ANALYSIS_COLUMNS], ids=["full", "analysis"])
+def test_packet_emission_block(benchmark, palu_graph, columns):
+    # one scenario generation block over a fixed substrate; the analysis
+    # columns skip the inter-arrival and size draws
+    config = TraceConfig(n_packets=DEFAULT_BLOCK_PACKETS, rate_model="zipf", invalid_fraction=0.05)
+    edges = palu_graph.edges_array()
+    substrate = TrafficSubstrate.build(
+        edges, edge_rate_weights(edges.shape[0], config, np.random.default_rng(12))
+    )
+    n = DEFAULT_BLOCK_PACKETS
+
+    def emit():
+        return emit_packets(n, substrate, config, np.random.default_rng(13), columns=columns)
+
+    records = benchmark(emit)
+    assert records.size == n
+    if benchmark.stats is not None:
+        benchmark.extra_info["ns_per_packet"] = benchmark.stats.stats.median / n * 1e9
 
 
 def test_edge_sampling_kernel(benchmark):

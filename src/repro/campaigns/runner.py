@@ -181,7 +181,7 @@ def _fleet_owner(worker_index: int, workers: int) -> str:
 def _claim_and_compute_cell(
     spec: RunSpec,
     *,
-    store_root: str,
+    store: ResultStore,
     owner: str,
     ttl: float,
     heartbeat: float,
@@ -190,9 +190,12 @@ def _claim_and_compute_cell(
 ) -> dict:
     """Claim one cell's lease, analyse it, persist it, release the lease.
 
-    Runs in-process or on a pool worker; always returns a result dict,
-    never raises for a cell-level failure (that is the containment
-    contract — one bad cell must not sink the sweep):
+    Runs in-process on *store*, the store :func:`run_campaign` opened, or
+    on a pool worker on an unpickled copy of it (which skips the open's
+    prune pass, so the tree is walked once per run, not once per cell).
+    Always returns a result dict, never raises for a cell-level failure
+    (that is the containment contract — one bad cell must not sink the
+    sweep):
 
     * ``{"status": "cached"}`` — the cell appeared in the store before we
       could claim it (another fleet member finished it);
@@ -215,7 +218,6 @@ def _claim_and_compute_cell(
     ``KeyboardInterrupt``/``SystemExit`` still propagate: killing a sweep
     is not a cell failure, and the ``finally`` releases the claim.
     """
-    store = ResultStore(store_root)
     if not recompute and spec.key in store:
         return {"key": spec.key, "status": "cached"}
     if not store.acquire_lease(spec.key, owner, ttl=ttl):
@@ -419,7 +421,7 @@ def run_campaign(
 
     claim = functools.partial(
         _claim_and_compute_cell,
-        store_root=str(store.root),
+        store=store,
         owner=owner,
         ttl=lease_ttl,
         heartbeat=heartbeat,

@@ -117,6 +117,11 @@ class ResultStore:
         self._prune_orphaned_temp_files()
         self._prune_ancient_leases()
 
+    def __getstate__(self) -> dict:
+        # a store shipped to a pool worker opens without the prune pass and
+        # verifies afresh: the growing verification memo stays behind
+        return {**self.__dict__, "_verified": set()}
+
     #: Temp files younger than this are left alone at store open — they may
     #: belong to a concurrent writer mid-put; older ones are debris from a
     #: hard-killed sweep (SIGKILL skips the in-process cleanup).

@@ -28,6 +28,7 @@ from repro.streaming.aggregates import QUANTITY_NAMES
 from repro.streaming.parallel import ExecutionBackend, get_backend
 from repro.streaming.pipeline import StreamAnalyzer, WindowedAnalysis, backend_stats, fold_windows
 from repro.streaming.sketch import SketchConfig
+from repro.streaming.trace_io import ANALYSIS_COLUMNS
 from repro.streaming.window import PushWindower
 
 __all__ = ["ScenarioRun", "analyze_scenario"]
@@ -98,6 +99,9 @@ def analyze_scenario(
         As in :func:`repro.streaming.pipeline.analyze_trace`.  Without
         ``chunk_packets`` the source yields one chunk per generation
         block, so buffering is bounded by the block size either way.
+        The source emits :data:`~repro.streaming.trace_io.ANALYSIS_COLUMNS`
+        only, so kept windows read ``time`` and ``size`` as zeros, like
+        ``analyze_trace`` of a stored trace.
     block_packets:
         Internal generation block size (part of the trace's identity: the
         same scenario and seed with a different block size is a different —
@@ -134,8 +138,10 @@ def analyze_scenario(
     n_valid = check_positive_int(n_valid, "n_valid")
     backend_impl = get_backend(backend, n_workers=n_workers, payload_transport=payload_transport)
 
+    # the engine reads src/dst/valid only: skip drawing times and sizes
     source = ScenarioTraceSource(
-        scenario, seed=seed, chunk_packets=chunk_packets, block_packets=block_packets
+        scenario, seed=seed, chunk_packets=chunk_packets, block_packets=block_packets,
+        columns=ANALYSIS_COLUMNS,
     )
     _logger.debug(
         "running scenario %r (%d phases, %d packets) via %s backend",

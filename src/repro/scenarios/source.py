@@ -19,6 +19,15 @@ concatenation of the chunks is bit-identical for every chunk size — and
 identical to :meth:`Scenario.generate`'s eager trace.  That invariance is
 what the property harness pins down (``tests/test_scenarios_properties.py``).
 
+A ``columns`` subset (the analysis engine asks for
+:data:`~repro.streaming.trace_io.ANALYSIS_COLUMNS`) leaves the other
+columns zero, as :func:`repro.streaming.trace_io.iter_trace_chunks` does,
+and does not move the ones it keeps.  Inter-arrivals and sizes are the
+last two draws of each block's generator, which is discarded after its
+block, so skipping them changes no ``src``/``dst``/``valid`` value; a draw
+is skipped only when every column after it in the draw order is left out
+too (see :func:`repro.streaming.trace_generator.emit_packets`).
+
 Memory is ``O(block_packets + chunk_packets)`` plus one phase's graph: only
 the current block, the current phase's (edges, weights), and — while a
 cross-fade is in progress — the previous phase's, are alive at once.
@@ -47,7 +56,7 @@ from repro.streaming.trace_generator import (
     edge_rate_weights,
     emit_packets,
 )
-from repro.streaming.trace_io import rechunk
+from repro.streaming.trace_io import check_columns, rechunk
 
 __all__ = ["DEFAULT_BLOCK_PACKETS", "ScenarioTraceSource"]
 
@@ -63,8 +72,9 @@ class ScenarioTraceSource:
 
     Iterating yields consecutive :class:`PacketTrace` chunks (of
     ``chunk_packets`` packets each when given, else native generation
-    blocks).  The source also keeps the running per-phase *valid*-packet
-    tally that phase attribution needs
+    blocks), with every packet column filled unless ``columns`` names a
+    subset (which must include ``valid``).  The source also keeps the
+    running per-phase *valid*-packet tally that phase attribution needs
     (:meth:`phase_of_valid_index`) — because chunks are always produced
     before any window covering them is emitted downstream, the tally is
     complete for every packet a consumer has seen.
@@ -80,9 +90,13 @@ class ScenarioTraceSource:
         seed: SeedLike = None,
         chunk_packets: int | None = None,
         block_packets: int = DEFAULT_BLOCK_PACKETS,
+        columns: tuple | None = None,
     ) -> None:
         if not isinstance(scenario, Scenario):
             raise TypeError(f"scenario must be a Scenario, got {type(scenario).__name__}")
+        self.columns = None if columns is None else check_columns(columns)
+        if self.columns is not None and "valid" not in self.columns:
+            raise ValueError("columns must include 'valid': the per-phase valid tally reads it")
         self.scenario = scenario
         self.block_packets = check_positive_int(block_packets, "block_packets")
         self.chunk_packets = (
@@ -169,6 +183,7 @@ class ScenarioTraceSource:
                     time_offset=time_offset,
                     fade_from=fade_from,
                     p_old=p_old,
+                    columns=self.columns,
                 )
                 time_offset = float(records["time"][-1])
                 emitted += n

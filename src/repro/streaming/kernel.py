@@ -126,14 +126,21 @@ def packable(src: np.ndarray, dst: np.ndarray) -> bool:
     if src.size == 0:
         return True
     # a negative id sets the sign bit of the OR, an id >= 2**32 a bit at or
-    # above bit 32, so one OR column bounds both endpoints at once
-    ids = np.bitwise_or(src, dst)
-    return int(ids.min()) >= 0 and int(ids.max()) <= KERNEL_MAX_ID
+    # above bit 32, so the OR of every id bounds both endpoints at once
+    ids = int(np.bitwise_or.reduce(src)) | int(np.bitwise_or.reduce(dst))
+    return 0 <= ids <= KERNEL_MAX_ID
 
 
 def _packed_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Fresh ``(src << 32) | dst`` uint64 keys; ids must be :func:`packable`."""
-    return (src.astype(np.uint64) << np.uint64(32)) | dst.astype(np.uint64)
+    """Fresh ``(src << 32) | dst`` uint64 keys; ids must be :func:`packable`.
+
+    Shifts the ``uint64`` views of the int64 columns into one new buffer:
+    packable ids read the same either way, and shifting the int64 column
+    itself would overflow signed.
+    """
+    key = np.left_shift(src.view(np.uint64), np.uint64(32))
+    key |= dst.view(np.uint64)
+    return key
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -185,8 +192,7 @@ def _keyed_products(key: np.ndarray) -> WindowProducts:
     src_starts = _run_starts(u_src)
     src_bounds = np.append(src_starts, m)
     source_fanout = np.diff(src_bounds)
-    link_cumsum = np.concatenate([[0], np.cumsum(link_packets)])
-    source_packets = link_cumsum[src_bounds[1:]] - link_cumsum[src_bounds[:-1]]
+    source_packets = np.add.reduceat(link_packets, src_starts)
 
     # destinations: regroup the m distinct links (not the n packets) by dst.
     # Sorting (dst << 32) | link_index is the stable argsort of the dsts:
@@ -198,8 +204,7 @@ def _keyed_products(key: np.ndarray) -> WindowProducts:
     dst_starts = _run_starts(dst_keys >> np.uint64(32))
     dst_bounds = np.append(dst_starts, m)
     destination_fanin = np.diff(dst_bounds)
-    link_by_dst_cumsum = np.concatenate([[0], np.cumsum(link_packets[dst_order])])
-    destination_packets = link_by_dst_cumsum[dst_bounds[1:]] - link_by_dst_cumsum[dst_bounds[:-1]]
+    destination_packets = np.add.reduceat(link_packets[dst_order], dst_starts)
 
     aggregates = AggregateProperties(
         valid_packets=n,

@@ -30,6 +30,7 @@ from repro._util.rng import RNGLike, as_generator
 from repro._util.validation import check_fraction, check_positive, check_positive_int
 from repro.generators.palu_graph import PALUGraph
 from repro.streaming.packet import PACKET_DTYPE, PacketTrace
+from repro.streaming.trace_io import check_columns
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -236,6 +237,7 @@ def emit_packets(
     time_offset: float = 0.0,
     fade_from: TrafficSubstrate | None = None,
     p_old: np.ndarray | None = None,
+    columns: tuple | None = None,
 ) -> np.ndarray:
     """Draw *n* packet records over *substrate*: the one packet emitter.
 
@@ -244,7 +246,18 @@ def emit_packets(
     contract, so reordering it is a format break for golden tests.  With
     *fade_from*, each packet falls back to that substrate with probability
     *p_old* (a per-packet array).  Timestamps start after *time_offset*.
+
+    *columns* restricts which packet columns are filled, with
+    :func:`~repro.streaming.trace_io.iter_trace_chunks`' meaning: the rest
+    read as zeros (e.g. :data:`~repro.streaming.trace_io.ANALYSIS_COLUMNS`
+    for the analysis engine).  A draw is skipped only when it and every draw
+    after it feed left-out columns, so the filled columns are bit-identical
+    to a full emission's: inter-arrivals and sizes are the last two draws,
+    and asking for ``size`` without ``time`` still draws (and drops) the
+    inter-arrivals.  Skipping draws leaves *gen* in a different state, so a
+    caller that reads *gen* afterwards must emit full columns.
     """
+    wanted = check_columns(columns)
     chosen = substrate.sampler.draw(gen, n)
     endpoints = substrate.endpoints
     n_nodes = substrate.n_nodes
@@ -269,12 +282,16 @@ def emit_packets(
         # invalid packets get arbitrary endpoints outside the traffic pattern
         src[invalid] = gen.integers(0, n_nodes, size=int(invalid.sum()))
         dst[invalid] = gen.integers(0, n_nodes, size=int(invalid.sum()))
-    records = np.empty(n, dtype=PACKET_DTYPE)
-    records["src"] = src
-    records["dst"] = dst
-    records["time"] = time_offset + np.cumsum(gen.exponential(config.mean_interarrival, size=n))
-    records["size"] = gen.integers(64, 1500, size=n, dtype=np.int32)
-    records["valid"] = valid
+    records = np.empty(n, dtype=PACKET_DTYPE) if columns is None else np.zeros(n, dtype=PACKET_DTYPE)
+    for name, values in (("src", src), ("dst", dst), ("valid", valid)):
+        if name in wanted:
+            records[name] = values
+    if "time" in wanted or "size" in wanted:
+        gaps = gen.exponential(config.mean_interarrival, size=n)
+        if "time" in wanted:
+            records["time"] = time_offset + np.cumsum(gaps)
+        if "size" in wanted:
+            records["size"] = gen.integers(64, 1500, size=n, dtype=np.int32)
     return records
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "write_json_atomic",
     "ANALYSIS_COLUMNS",
     "LAYOUT_NAMES",
+    "check_columns",
 ]
 
 
@@ -103,6 +104,18 @@ _COLUMNS = ("src", "dst", "time", "size", "valid")
 ANALYSIS_COLUMNS = ("src", "dst", "valid")
 
 
+def check_columns(columns) -> tuple:
+    """The packet columns to fill: every column for ``None``, else *columns*.
+
+    Raises ``ValueError`` on a name that is not a packet-record field.
+    """
+    wanted = _COLUMNS if columns is None else tuple(columns)
+    unknown = set(wanted) - set(_COLUMNS)
+    if unknown:
+        raise ValueError(f"unknown trace columns {sorted(unknown)}; valid: {_COLUMNS}")
+    return wanted
+
+
 def save_trace(trace: PacketTrace, path: Union[str, os.PathLike]) -> Path:
     """Write *trace* to a compressed v1 ``.npz`` archive and return the path."""
     path = Path(path)
@@ -123,10 +136,7 @@ def _records_from_archive(archive, columns=None) -> np.ndarray:
     zero-filled and their archive members are never decompressed — callers
     opting in (the analysis engine) promise not to read them.
     """
-    wanted = _COLUMNS if columns is None else tuple(columns)
-    unknown = set(wanted) - set(_COLUMNS)
-    if unknown:
-        raise ValueError(f"unknown trace columns {sorted(unknown)}; valid: {_COLUMNS}")
+    wanted = check_columns(columns)
     n = archive["src"].size
     records = np.empty(n, dtype=PACKET_DTYPE) if columns is None else np.zeros(n, dtype=PACKET_DTYPE)
     for column in wanted:

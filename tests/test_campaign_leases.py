@@ -186,7 +186,7 @@ class TestHeartbeat:
         def work():
             result.update(
                 _claim_and_compute_cell(
-                    spec, store_root=str(store.root), owner="slowpoke",
+                    spec, store=ResultStore(store.root), owner="slowpoke",
                     ttl=ttl, heartbeat=0.1,
                 )
             )

@@ -314,6 +314,49 @@ class TestResultStore:
         assert fresh.exists()
         assert store is not None
 
+    def test_serial_run_opens_the_store_once(self, tmp_path, monkeypatch):
+        """Every cell works on the store the run opened, so the open's
+        tree walks run once per run, not once per cell, and still sweep."""
+        import os
+        import time as time_module
+
+        root = tmp_path / "store"
+        orphan = root / "objects" / "ab" / ("ab" + "0" * 62 + ".pkl.gz.x1.tmp")
+        orphan.parent.mkdir(parents=True)
+        orphan.write_bytes(b"dead")
+        old = time_module.time() - 2 * ResultStore._TEMP_MAX_AGE_SECONDS
+        os.utime(orphan, (old, old))
+        calls = []
+        for name in ("_prune_orphaned_temp_files", "_prune_ancient_leases"):
+            real = getattr(ResultStore, name)
+
+            def counting(self, real=real, name=name):
+                calls.append(name)
+                real(self)
+
+            monkeypatch.setattr(ResultStore, name, counting)
+        run = run_campaign(tiny_campaign(), root)
+        assert run.n_computed == len(tiny_campaign().cells()) == 4
+        assert sorted(calls) == ["_prune_ancient_leases", "_prune_orphaned_temp_files"]
+        assert not orphan.exists()
+
+    def test_pickled_store_leaves_its_verification_memo_behind(self, tmp_path):
+        """A store shipped to a pool worker carries its root, not the set of
+        keys this process already verified (it grows with every cell)."""
+        import pickle
+
+        campaign = tiny_campaign()
+        run_campaign(campaign, tmp_path / "store")
+        store = ResultStore(tmp_path / "store")
+        keys = [spec.key for spec in campaign.cells()]
+        assert all(key in store for key in keys)
+        assert store._verified == set(keys)
+        shipped = pickle.loads(pickle.dumps(store))
+        assert shipped.root == store.root
+        assert shipped._verified == set()
+        assert all(key in shipped for key in keys)
+        assert store._verified == set(keys)
+
     def test_format_version_checked(self, tmp_path):
         from repro.streaming.trace_io import write_json_atomic
 
