@@ -19,7 +19,7 @@ from repro.core.zeta import riemann_zeta, truncated_hurwitz
 from repro.experiments.config import default_palu_parameters
 from repro.generators.configuration_model import configuration_model_edges
 from repro.generators.degree_sequence import sample_power_law_degrees
-from repro.generators.erdos_renyi import _DENSE_LIMIT, erdos_renyi_edges
+from repro.generators.erdos_renyi import erdos_renyi_edges
 from repro.generators.palu_graph import generate_palu_graph
 from repro.generators.preferential_attachment import shifted_preferential_attachment_edges
 from repro.generators.sampling import sample_edges_array
@@ -81,15 +81,15 @@ def test_configuration_model_kernel(benchmark):
     assert edges.shape[0] > 0
 
 
-def test_dense_erdos_renyi_at_the_limit(benchmark):
-    # the largest dense G(n, p): one uniform per pair, ~4.5M, drawn in blocks
-    edges = benchmark(erdos_renyi_edges, _DENSE_LIMIT, 0.002, rng=11)
+def test_erdos_renyi_generator_mix_phase(benchmark):
+    # generator-mix's first phase: geometric skipping, one gap per edge
+    edges = benchmark(erdos_renyi_edges, 2_000, 0.003, rng=11)
     assert edges.shape[0] > 0
 
 
 def test_shifted_preferential_attachment_10k_nodes(benchmark):
-    # the single-edge growth is O(n log n); the dense per-step replay it
-    # replaced took over ten times as long at this size
+    # the single-edge copying model is O(n log n) numpy; the dense per-step
+    # kernel draw that m_edges > 1 still uses is O(n²)
     edges = benchmark.pedantic(
         shifted_preferential_attachment_edges,
         args=(10_000, 1),

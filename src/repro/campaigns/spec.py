@@ -47,7 +47,10 @@ __all__ = [
 #: so stale store entries can never be mistaken for current ones.
 #: v2: the fingerprint gained the ``detectors`` axis (PR 4).
 #: v3: the fingerprint gained the ``mode``/``sketch`` axis (PR 6).
-SPEC_FORMAT_VERSION = 3
+#: v4: ``G(n, p)`` draws by geometric skipping at every ``n`` and
+#: single-edge preferential attachment samples the copying model, so
+#: Erdős–Rényi and ``m_edges = 1`` graphs (``generator-mix``, PA cores) moved.
+SPEC_FORMAT_VERSION = 4
 
 
 def _canonical(payload) -> str:

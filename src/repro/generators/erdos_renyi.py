@@ -11,13 +11,11 @@ Two distinct uses in the paper:
   non-heavy-tailed control whose degree data the power-law fitters must
   *reject*.
 
-This module provides the classic ``G(n, p)`` generator, vectorised over the
-upper triangle for moderate ``n`` and using geometric skipping for sparse
-large ``n``.  The dense path draws one uniform per node pair, but in fixed
-blocks through one reused buffer, so its memory does not grow with ``n²``.
-Its 3,000-node limit is not a memory bound: it fixes which random stream a
-given ``n`` consumes, and with it every recorded edge list and campaign
-content key built from one.
+This module provides the classic ``G(n, p)`` generator.  It walks the
+flattened upper triangle of the adjacency matrix by geometric skipping: one
+``Geometric(p)`` gap per kept pair, so the cost follows the edge count, not
+``n²``.  ``p = 1`` keeps every pair.  Either way the kept flat indices map
+back to ``(i, j)`` through one closed-form row inversion.
 """
 
 from __future__ import annotations
@@ -34,16 +32,6 @@ if TYPE_CHECKING:
 
 __all__ = ["generate_erdos_renyi", "erdos_renyi_edges"]
 
-#: Up to this node count ``G(n, p)`` draws one uniform per node pair; above
-#: it, the sparse geometric-skipping sampler draws one gap per edge.  The two
-#: consume different random streams, so moving the limit would change the
-#: edges (and the golden digests and content keys) of every graph in between.
-_DENSE_LIMIT = 3000
-
-#: Uniforms per block of the dense path; blocks reuse one buffer, so the
-#: dense draw never holds more than this many doubles at once.
-_DENSE_BLOCK = 1 << 16
-
 
 def erdos_renyi_edges(n_nodes: int, p: float, rng: RNGLike = None) -> np.ndarray:
     """Edge list of a ``G(n, p)`` graph as an ``(m, 2)`` int64 array."""
@@ -53,26 +41,9 @@ def erdos_renyi_edges(n_nodes: int, p: float, rng: RNGLike = None) -> np.ndarray
     if p == 0.0 or n_nodes < 2:
         return np.zeros((0, 2), dtype=np.int64)
     total_pairs = n_nodes * (n_nodes - 1) // 2
-    if p == 1.0 or n_nodes <= _DENSE_LIMIT:
-        # one uniform draw per pair of the row-major upper triangle; map the
-        # kept flat indices back to (i, j) through each row's start offset
-        if p == 1.0:
-            flat = np.arange(total_pairs, dtype=np.int64)
-        else:
-            # consecutive fills of one reused buffer draw the same uniforms,
-            # and leave gen in the same state, as one gen.random(total_pairs)
-            buffer = np.empty(min(total_pairs, _DENSE_BLOCK))
-            kept = []
-            for offset in range(0, total_pairs, buffer.size):
-                block = buffer[: total_pairs - offset]
-                gen.random(out=block)
-                kept.append(np.flatnonzero(block < p) + offset)
-            flat = np.concatenate(kept)
-        rows = np.arange(n_nodes - 1, dtype=np.int64)
-        row_start = rows * n_nodes - rows * (rows + 1) // 2
-        i = np.searchsorted(row_start, flat, side="right") - 1
-        return np.column_stack([i, flat - row_start[i] + i + 1])
-    # sparse path: geometric skipping over the flattened upper triangle
+    if p == 1.0:
+        return _pairs_of_flat(np.arange(total_pairs, dtype=np.int64), n_nodes)
+    # geometric skipping over the flattened upper triangle
     expected = int(total_pairs * p * 1.2) + 16
     positions: list[np.ndarray] = []
     pos = -1
@@ -86,15 +57,23 @@ def erdos_renyi_edges(n_nodes: int, p: float, rng: RNGLike = None) -> np.ndarray
         if not inside.all():
             break
         pos = int(cumulative[-1])
-    flat = np.concatenate(positions) if positions else np.zeros(0, dtype=np.int64)
-    # invert the flattened upper-triangle index: row i starts at offset
-    # i*n - i*(i+1)/2 - (i+1); solve the quadratic for the row.
+    return _pairs_of_flat(np.concatenate(positions), n_nodes)
+
+
+def _pairs_of_flat(flat: np.ndarray, n_nodes: int) -> np.ndarray:
+    """``(i, j)`` rows of the row-major upper-triangle indices *flat* of ``n_nodes``.
+
+    Pair ``(i, j)`` with ``i < j`` sits at ``i·n − i·(i+1)/2 + (j − i − 1)``.
+    Solving that quadratic for the row gives ``i`` in closed form, in
+    float64; ``tests/test_generators_basic.py`` pins it at every row
+    boundary it checks up to ``n = 10⁷``.
+    """
     i = (
         n_nodes
         - 2
         - np.floor(np.sqrt(-8.0 * flat + 4.0 * n_nodes * (n_nodes - 1) - 7) / 2.0 - 0.5)
     ).astype(np.int64)
-    j = (flat + i + 1 - i * (2 * n_nodes - i - 1) // 2).astype(np.int64)
+    j = flat + i + 1 - i * (2 * n_nodes - i - 1) // 2
     return np.column_stack([i, j])
 
 

@@ -20,18 +20,18 @@ Both return :class:`networkx.Graph` objects whose nodes are labelled
 returns the shifted-kernel network as a plain edge array instead, for the
 builders that never need a graph object.
 
-The shifted-kernel growth replays ``Generator.choice(replace=False, p=...)``
-over the whole kernel at every step, so its output and generator state are
-those of the library call.  With one edge per node, which is how the PALU
-core and the scenario families grow it, a Fenwick tree over the degrees
-finds each target in O(log n) instead, and only a draw too close to a
-cumulative-weight boundary to decide replays the dense step; the result is
-bit-identical and the whole growth O(n log n).
+With ``m_edges > 1`` the shifted-kernel growth replays
+``Generator.choice(replace=False, p=...)`` over the whole kernel at every
+step, O(n²) in all.  With one edge per node, which is how the PALU core and
+the scenario families grow it, the kernel ``d + a`` is a mixture
+(Krapivsky–Redner redirection, Phys. Rev. E 63, 066123, 2001): attach to a
+uniform earlier node, or copy the target of a uniform earlier edge.  That
+samples the same law from one uniform per step, and pointer jumping
+resolves the copies in O(n log n) numpy.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -169,86 +169,47 @@ def _dense_growth(n_nodes: int, m_edges: int, shift: float, gen: np.random.Gener
     return targets.ravel()
 
 
-def _dense_step(degrees: np.ndarray, shift: float, x: float) -> int:
-    """One single-edge step of :func:`_dense_growth` for the already drawn uniform *x*."""
-    cdf = np.cumsum(_normalised_kernel(degrees, shift))
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(x, side="right"))
+def _copying_growth(n_nodes: int, shift: float, gen: np.random.Generator) -> np.ndarray:
+    """Arrival-ordered targets of single-edge growth with kernel ``d + a``.
 
+    At step ``s`` the nodes ``0..s-1`` are present and ``s - 1`` edges
+    drawn.  Node ``i`` has degree ``d_i >= 1``, so its weight is
+    ``e_i + c`` with the excess ``e_i = d_i - 1`` and ``c = 1 + a``; the
+    excesses sum to ``s - 2``, one unit per earlier step's target, so the
+    total is ``W = (s - 2) + s·c``.  One uniform ``x`` per step, scaled to
+    ``y = x·W``, picks
 
-#: Guard band of :func:`_single_edge_growth` per ``(s + 8)·W``: eight times
-#: the float64 epsilon (see the derivation there).
-_GUARD_EPS = 8.0 * float(np.finfo(np.float64).eps)
+    * node ``⌊y / c⌋``, clipped to ``s - 1``, when ``y < s·c``: a uniform
+      node, with total probability ``s·c / W``;
+    * otherwise the target of step ``2 + ⌊y − s·c⌋``, clipped to the last
+      earlier step ``s - 1``: a uniform earlier edge's target, i.e. node
+      ``i`` with probability ``e_i / W``.
 
-
-def _single_edge_growth(n_nodes: int, shift: float, gen: np.random.Generator) -> np.ndarray:
-    """:func:`_dense_growth` for ``m_edges = 1`` in O(n log n), bit for bit.
-
-    Each dense step draws one ``gen.random((1,))``, so one
-    ``gen.random(n - 2)`` call leaves the generator in the same state and
-    yields the same uniforms.  Every node present at step ``s`` (the nodes
-    ``0..s-1``) has degree ``d_i >= 1``, so its weight is ``v_i = e_i + c``
-    with the integer excess ``e_i = d_i - 1`` and ``c = 1 + a``.  A Fenwick
-    tree over the excesses holds every prefix ``E(k) = Σ_{i<k} e_i`` exactly,
-    and the prefix weight ``V(k) = E(k) + k·c`` is computed as
-    ``fl(E(k) + fl(k·c))``, which is non-decreasing in ``k``.  The descent
-    finds the largest ``k < s`` with ``V(k) <= y = fl(x·W)``, where
-    ``W = V(s) = (s - 2) + s·c`` (``s - 1`` edges so far), and proposes
-    node ``k``.
-
-    **Guard.**  Let ``u = eps/2`` and ``γ_j = j·u/(1 - j·u)``.  The dense
-    step rounds each weight ``fl(d_i + a)`` once, each ``v_i/S`` once and
-    each partial sum of the ``cumsum`` at most ``s - 1`` times, then divides
-    by ``cdf[-1]``; the common ``S`` cancels in that division.  All terms
-    are positive, so the dense cdf at ``k`` nodes is ``V(k)/W`` within a
-    relative ``γ_{2s+3}``, and it is non-decreasing in ``k``.  On the tree
-    side ``c``, ``k·c`` and the sum each round once (``E`` is exact and
-    both addends are non-negative), so every computed ``V(k)`` and ``W`` is
-    within a relative ``γ_3`` of the real one, and ``y`` within ``γ_4`` of
-    ``x·W``.  If ``y`` clears both bracketing prefixes ``V(k)`` and
-    ``V(k+1)`` by more than ``(γ_{2s+3} + γ_3 + γ_4)·W ≈ (s + 5)·eps·W``
-    plus second-order terms, the dense cdf is ``<= x`` at ``k`` nodes and
-    ``> x`` at ``k + 1``, so the dense step picks node ``k`` too.  The guard
-    ``δ = 8·eps·(s + 8)·W`` exceeds that bound more than eight times over,
-    which also absorbs the rounding of ``δ`` and of the two comparisons.
-    A draw within ``δ`` of a bracketing prefix replays that one step
-    densely; over a whole run that happens with probability about
-    ``16·eps·n³/3``, well below 1 for ``n <= 10⁵``.
-
-    When ``c < 1e-12`` the dense step clips some weights to ``1e-12``, which
-    the tree does not model, so every step replays densely.
+    The clips only catch rounding at the top of each range.  The copies
+    form chains to earlier steps; ``ptr = ptr[ptr]`` halves every chain per
+    pass.  The draws are one ``gen.random(n - 2)``, the uniforms
+    :func:`_dense_growth` with ``m_edges = 1`` draws one per step, so the
+    generator ends in the same state.  The law is the dense kernel's
+    except that the dense one clips each weight at ``1e-12``, and so
+    differs when ``c < 1e-12``; here ``c`` is used as is.
     """
-    draws = gen.random(n_nodes - 2).tolist()
     c = 1.0 + float(shift)
-    guard = _GUARD_EPS if c >= 1e-12 else math.inf
-    size = n_nodes - 1  # node n - 1 is never a target
-    tree = [0] * (size + 1)  # 1-based Fenwick tree over the excesses
-    excess = [0] * size
-    targets = [0] * size  # the seed edge (1, 0) first
-    top = 1 << (size.bit_length() - 1)
-    for source, x in enumerate(draws, 2):
-        total = (source - 2) + source * c
-        y = x * total
-        pos = acc = 0
-        step = top
-        while step:
-            nxt = pos + step
-            if nxt < source:
-                e = acc + tree[nxt]
-                if e + nxt * c <= y:
-                    pos = nxt
-                    acc = e
-            step >>= 1
-        delta = guard * (source + 8) * total
-        if not (y - (acc + pos * c) > delta and (acc + excess[pos]) + (pos + 1) * c - y > delta):
-            pos = _dense_step(np.array(excess[:source], dtype=np.float64) + 1.0, shift, x)
-        targets[source - 1] = pos
-        excess[pos] += 1
-        j = pos + 1
-        while j <= size:
-            tree[j] += 1
-            j += j & -j
-    return np.array(targets, dtype=np.int64)
+    s = np.arange(2.0, n_nodes)
+    uniform_mass = s * c
+    y = gen.random(n_nodes - 2) * ((s - 2.0) + uniform_mass)
+    copy = y >= uniform_mass
+    # slot k holds the target of step k + 1 (slot 0: the seed edge 1 -> 0);
+    # a copying step points at the slot of the step it copies, every other
+    # slot at itself
+    node = np.where(copy, 0.0, np.minimum(np.floor(y / c), s - 1.0))
+    slot = np.where(copy, np.minimum(np.floor(y - uniform_mass), s - 3.0) + 1.0, s - 1.0)
+    targets = np.concatenate(([0], node.astype(np.int64)))
+    ptr = np.concatenate(([0], slot.astype(np.int64)))
+    while True:
+        jumped = ptr[ptr]
+        if np.array_equal(jumped, ptr):
+            return targets[ptr]
+        ptr = jumped
 
 
 def _shifted_growth(
@@ -273,7 +234,7 @@ def _shifted_growth(
     gen = as_generator(rng)
 
     if m_edges == 1:
-        targets = _single_edge_growth(n_nodes, shift, gen)
+        targets = _copying_growth(n_nodes, shift, gen)
     else:
         targets = _dense_growth(n_nodes, m_edges, shift, gen)
     sources = np.repeat(np.arange(m_edges, n_nodes, dtype=np.int64), m_edges)
@@ -315,8 +276,8 @@ def generate_shifted_preferential_attachment(
     Exactly one of *alpha* (target asymptotic exponent, converted through
     :func:`attachment_shift_for_alpha`) or *shift* (the kernel shift ``a``
     itself) must be given.  Each new node draws its ``m_edges`` distinct
-    targets with probability proportional to the clipped kernel of the
-    current degrees.
+    targets with probability proportional to the kernel of the current
+    degrees, clipped at ``1e-12`` when ``m_edges > 1``.
     """
     import networkx as nx
 

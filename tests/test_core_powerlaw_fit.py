@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.histogram import degree_histogram
 from repro.core.distributions import DiscretePowerLaw, ZipfMandelbrotDistribution
+from repro.core import powerlaw_fit
 from repro.core.powerlaw_fit import (
     _tail_ks,
     fit_discrete_mle,
@@ -20,6 +21,12 @@ from repro.core.powerlaw_fit import (
 def powerlaw_sample():
     dist = DiscretePowerLaw(2.3, 100_000)
     return degree_histogram(dist.sample(300_000, rng=11))
+
+
+@pytest.fixture(scope="module")
+def zm_contaminated_sample():
+    # a large positive delta flattens the head relative to any pure power law
+    return degree_histogram(ZipfMandelbrotDistribution(2.0, 3.0, 50_000).sample(300_000, rng=5))
 
 
 class TestDiscreteMLE:
@@ -76,7 +83,58 @@ def _dense_tail_ks(alpha, degrees, counts, d_min):
     return float(np.max(np.abs(emp_cdf - model_cdf)))
 
 
+def _one_scan_tail_ks(alpha, degrees, counts, d_min):
+    """The model cdf at every observed degree and the degree before it."""
+    emp = np.cumsum(counts) / counts.sum()
+    emp_points = np.concatenate(([0.0], emp[:-1], emp))
+    points = np.concatenate((degrees - 1, degrees)).astype(np.float64)
+    if alpha > 1.0:
+        from scipy.special import zeta
+
+        head = zeta(alpha, d_min)
+        tails = zeta(alpha, points + 1.0)
+        model = (head - tails) / (head - tails[-1])
+    else:
+        cdf = np.cumsum(np.arange(d_min, degrees[-1] + 1, dtype=np.float64) ** -alpha)
+        model = np.concatenate(([0.0], cdf))[(points - (d_min - 1)).astype(np.int64)] / cdf[-1]
+    return float(np.max(np.abs(emp_points - model)))
+
+
 class TestTailKS:
+    @pytest.mark.parametrize("sample", ["powerlaw_sample", "zm_contaminated_sample", "tiny"])
+    def test_bit_identical_to_one_scan(self, request, sample):
+        """Skipping the points whose gap is bounded below the maximum never
+        changes the statistic, not even in the last bit."""
+        if sample == "tiny":
+            hist = degree_histogram(np.array([5, 5, 5, 6, 40, 40, 41, 900]))
+        else:
+            hist = request.getfixturevalue(sample)
+        for d_min in (1, 2, 3, 7, 30, 67, 100, 1000):
+            mask = hist.degrees >= d_min
+            if not mask.any():
+                continue
+            degrees, counts = hist.degrees[mask], hist.counts[mask]
+            for alpha in (0.5, 1.0, 1.01, 1.3, 1.6, 2.0, 2.3, 3.0, 4.5, 6.0):
+                assert _tail_ks(alpha, degrees, counts, d_min) == _one_scan_tail_ks(alpha, degrees, counts, d_min)
+
+    @pytest.mark.parametrize(
+        "sample, cutoff", [("powerlaw_sample", 1), ("zm_contaminated_sample", 67)]
+    )
+    def test_select_dmin_sees_the_one_scan_statistic(self, request, monkeypatch, sample, cutoff):
+        """At every candidate cutoff of the select_dmin inputs below, the
+        statistic equals the one-scan one, so the cutoffs are the same."""
+        checked = []
+
+        def both(alpha, degrees, counts, d_min):
+            ks = _tail_ks(alpha, degrees, counts, d_min)
+            assert ks == _one_scan_tail_ks(alpha, degrees, counts, d_min)
+            checked.append(d_min)
+            return ks
+
+        monkeypatch.setattr(powerlaw_fit, "_tail_ks", both)
+        assert select_dmin(request.getfixturevalue(sample)) == cutoff
+        assert len(checked) > 100
+
     @pytest.mark.parametrize("d_min", [1, 2, 7, 100, 1000])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.01, 1.6, 2.3, 6.0])
     def test_matches_the_dense_cdfs(self, powerlaw_sample, alpha, d_min):
@@ -99,13 +157,9 @@ class TestSelectDmin:
         # the cutoff picked when the tail normaliser was ζ(α) minus the head sum
         assert d_min == 1
 
-    def test_zm_contaminated_head_prefers_larger_dmin(self):
-        # a large positive delta flattens the head relative to any pure power
-        # law, so the KS-optimal cutoff should move past d = 1
-        hist = degree_histogram(
-            ZipfMandelbrotDistribution(2.0, 3.0, 50_000).sample(300_000, rng=5)
-        )
-        d_min = select_dmin(hist)
+    def test_zm_contaminated_head_prefers_larger_dmin(self, zm_contaminated_sample):
+        # the flattened head should move the KS-optimal cutoff past d = 1
+        d_min = select_dmin(zm_contaminated_sample)
         assert d_min >= 2
         # the cutoff picked when the tail normaliser was ζ(α) minus the head sum
         assert d_min == 67

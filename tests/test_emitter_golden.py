@@ -13,9 +13,12 @@ themselves.  It records the SHA-256 of ``packets.tobytes()`` for
 
 A failure here without a deliberate change to the emitter's draw order
 usually means a numpy upgrade changed the bit stream behind
-``Generator.random``, ``integers`` or ``exponential``.  If a deliberate
-change moves these digests, bump ``SPEC_FORMAT_VERSION``, regenerate and
-say so in the PR::
+``Generator.random``, ``integers`` or ``exponential``.  The file records
+the ``SPEC_FORMAT_VERSION`` it was written under
+(``tests/_golden_version.py``): a digest that moves at that version fails
+with a "bump SPEC_FORMAT_VERSION" message, and ``--write`` refuses to
+rewrite it.  After a deliberate change, bump the version, regenerate and
+list the moved cases::
 
     PYTHONPATH=src python tests/test_emitter_golden.py --write
 """
@@ -23,12 +26,13 @@ say so in the PR::
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 from pathlib import Path
 
 import pytest
 
+import _golden_version as golden_version
+from repro.campaigns.spec import SPEC_FORMAT_VERSION
 from repro.core.palu_model import PALUParameters
 from repro.generators.palu_graph import generate_palu_graph
 from repro.scenarios import BUILTIN_SCENARIO_NAMES, get_scenario
@@ -36,6 +40,7 @@ from repro.scenarios.source import ScenarioTraceSource
 from repro.streaming.trace_generator import TraceConfig, generate_trace_from_graph
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "emitter_packets.json"
+SCRIPT = "tests/test_emitter_golden.py"
 SEEDS = tuple(range(4))
 SOURCE_VARIANTS = {
     "native": {},
@@ -98,11 +103,17 @@ CASES = {**_source_cases(), **_trace_cases()}
 
 
 @pytest.fixture(scope="module")
-def golden() -> dict:
-    if not GOLDEN_PATH.is_file():  # pragma: no cover - regeneration guard
-        pytest.fail(f"golden file {GOLDEN_PATH} missing; regenerate with "
-                    f"'python tests/test_emitter_golden.py --write'")
-    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+def recorded() -> tuple[int, dict]:
+    return golden_version.load(GOLDEN_PATH, SCRIPT)
+
+
+@pytest.fixture(scope="module")
+def golden(recorded) -> dict:
+    return recorded[1]
+
+
+def test_golden_was_recorded_under_a_current_version(recorded):
+    assert recorded[0] <= SPEC_FORMAT_VERSION
 
 
 def test_golden_covers_every_case(golden):
@@ -112,8 +123,9 @@ def test_golden_covers_every_case(golden):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_emitter_output_matches_golden(golden, case):
-    assert CASES[case]() == golden[case], f"{case}: emitted packets moved off their golden digest"
+def test_emitter_output_matches_golden(recorded, case):
+    version, golden = recorded
+    assert CASES[case]() == golden[case], golden_version.mismatch_message(case, version, SCRIPT)
 
 
 def test_chunking_never_changes_the_packets(golden):
@@ -125,14 +137,7 @@ def test_chunking_never_changes_the_packets(golden):
             assert native["n_packets"] == chunked["n_packets"]
 
 
-def _write_golden() -> None:
-    snapshot = {name: CASES[name]() for name in sorted(CASES)}
-    GOLDEN_PATH.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN_PATH} ({len(snapshot)} cases)")
-
-
 if __name__ == "__main__":
     if "--write" in sys.argv:
-        _write_golden()
-    else:
-        print(__doc__)
+        sys.exit(golden_version.write(GOLDEN_PATH, CASES, SCRIPT))
+    print(__doc__)

@@ -3,6 +3,7 @@ Erdős–Rényi, and Poisson stars."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import networkx as nx
@@ -174,35 +175,53 @@ class TestErdosRenyi:
         degrees = np.array([d for _, d in graph.degree()])
         assert degrees.mean() == pytest.approx(0.005 * 1999, rel=0.1)
 
-    # (n_nodes, block): n = 40 has 780 pairs = 4 x 195 = 19 x 41 + 1 =
-    # 11 x 71 - 1, and under 781; 362 nodes are under one 2**16 block, and
-    # 3000 is the dense limit
     @pytest.mark.parametrize(
-        "n_nodes, block",
-        [(40, 781), (40, 195), (40, 780), (40, 41), (40, 71), (362, None), (3000, None)],
+        "n_nodes, p, seeds", [(2000, 0.003, 10), (300, 0.3, 10), (40, 0.97, 40), (5000, 0.0008, 10)]
     )
-    @pytest.mark.parametrize("p", [0.002, 0.3, 0.97])
-    def test_blockwise_dense_draw_is_one_shot_stream(self, monkeypatch, n_nodes, block, p):
-        """Drawing the pair uniforms block by block keeps the edges and the
-        final generator state of one ``gen.random(total_pairs)`` call."""
-        if block is not None:
-            monkeypatch.setattr(erdos_renyi, "_DENSE_BLOCK", block)
-        total_pairs = n_nodes * (n_nodes - 1) // 2
-        blockwise, one_shot = np.random.default_rng(11), np.random.default_rng(11)
-        edges = erdos_renyi_edges(n_nodes, p, rng=blockwise)
-        expected = np.flatnonzero(one_shot.random(total_pairs) < p)
-        np.testing.assert_array_equal(_upper_triangle_index(edges, n_nodes), expected)
-        assert blockwise.bit_generator.state == one_shot.bit_generator.state
+    def test_edge_count_and_degree_moments_match_the_binomial(self, n_nodes, p, seeds):
+        """Pooled over fixed seeds, the edge count is ``Binomial(n(n-1)/2, p)``
+        and each degree ``Binomial(n - 1, p)`` in mean and variance."""
+        pairs = n_nodes * (n_nodes - 1) // 2
+        counts, degrees = [], []
+        for seed in range(seeds):
+            edges = erdos_renyi_edges(n_nodes, p, rng=seed)
+            assert np.unique(_upper_triangle_index(edges, n_nodes)).size == edges.shape[0]
+            counts.append(edges.shape[0])
+            degrees.append(np.bincount(edges.ravel(), minlength=n_nodes))
+        degrees = np.concatenate(degrees)
+        assert abs(np.mean(counts) - pairs * p) <= 4 * math.sqrt(pairs * p * (1 - p) / seeds)
+        mean, variance = (n_nodes - 1) * p, (n_nodes - 1) * p * (1 - p)
+        assert abs(degrees.mean() - mean) <= 4 * math.sqrt(2 * variance / degrees.size)
+        assert degrees.var() == pytest.approx(variance, rel=0.1)
 
-    def test_dense_path_at_the_limit_stays_small(self):
+    def test_row_inversion_matches_triu_indices(self):
+        for n_nodes in range(2, 70):
+            total_pairs = n_nodes * (n_nodes - 1) // 2
+            pairs = erdos_renyi._pairs_of_flat(np.arange(total_pairs, dtype=np.int64), n_nodes)
+            np.testing.assert_array_equal(pairs, np.column_stack(np.triu_indices(n_nodes, 1)))
+
+    @pytest.mark.parametrize("n_nodes", [10**5, 10**7])
+    def test_row_inversion_at_row_boundaries(self, n_nodes):
+        """The first and last pair of rows near the start, middle and end of
+        a large triangle, where the float inversion is tightest."""
+        middle = n_nodes // 2
+        rows = np.array([0, 1, 2, 3, middle - 1, middle, middle + 1, n_nodes - 4, n_nodes - 3, n_nodes - 2])
+        first = rows * n_nodes - rows * (rows + 1) // 2
+        last = first + (n_nodes - rows - 2)
+        np.testing.assert_array_equal(
+            erdos_renyi._pairs_of_flat(np.concatenate([first, last]), n_nodes),
+            np.column_stack([np.tile(rows, 2), np.concatenate([rows + 1, np.full(rows.size, n_nodes - 1)])]),
+        )
+
+    def test_no_quadratic_transient_at_3000_nodes(self):
         erdos_renyi_edges(50, 0.1, rng=0)  # warm up numpy's lazy allocations
         tracemalloc.start()
         try:
-            erdos_renyi_edges(erdos_renyi._DENSE_LIMIT, 0.002, rng=1)
+            erdos_renyi_edges(3000, 0.002, rng=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one float64 per pair would be 34 MiB; one block is 0.5 MiB
+        # one float64 per pair would be 34 MiB; the gaps are one int64 per edge
         assert peak < 4 * 2**20
 
 

@@ -9,18 +9,27 @@ the same edge array.  This harness pins the SHA-256 of the edge-array bytes
 * every phase of every built-in scenario under seeds 0–7, and
 * an edge-case grid: PALU without unattached stars, with ``λ = 0``, with a
   core of fewer than two nodes and with the preferential-attachment core;
-  preferential attachment with ``m_edges`` ∈ {1, 2, 3}; and Erdős–Rényi on
-  the dense path (including ``p`` ∈ {0, 1}) and the sparse path.
+  preferential attachment with ``m_edges`` ∈ {1, 2, 3}; and Erdős–Rényi
+  with ``p`` ∈ {0, 1} and at 800, 3,000 and 5,000 nodes.  (``er/dense``
+  and ``er/dense-limit`` are named after a per-pair draw that ``G(n, p)``
+  no longer has.)
 
 It also pins the node order and the adjacency (hence ``edges()``) order of
 the ``networkx`` graphs handed to the graph-sampling experiments.  A failure
 here without a deliberate generator change usually means a numpy upgrade
-changed the bit stream behind ``Generator.random``, ``choice`` or
-``shuffle``.  Preferential attachment replays ``choice`` on top of
-``random``; ``tests/test_generators_pa_and_palu.py`` keeps that replay in
-step with the library.  If a
-deliberate change moves these digests, bump ``SPEC_FORMAT_VERSION``,
-regenerate and say so in the PR::
+changed the bit stream behind ``Generator.random``, ``geometric``,
+``choice`` or ``shuffle``.  Preferential attachment with ``m_edges > 1``
+replays ``choice`` on top of ``random``;
+``tests/test_generators_pa_and_palu.py`` keeps that replay in step with the
+library, and holds the ``m_edges = 1`` copying model to the dense kernel's
+law.
+
+The file records the ``SPEC_FORMAT_VERSION`` it was written under
+(``tests/_golden_version.py``).  A digest that moves at that version fails
+with a "bump SPEC_FORMAT_VERSION" message, because campaign content keys
+would otherwise serve cells computed by the old generators.  After a
+deliberate change, bump the version, regenerate (``--write`` refuses at an
+unchanged version) and list the moved cases::
 
     PYTHONPATH=src python tests/test_generators_golden.py --write
 """
@@ -35,6 +44,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _golden_version as golden_version
+from repro.campaigns.spec import SPEC_FORMAT_VERSION
 from repro.core.palu_model import PALUParameters
 from repro.generators.erdos_renyi import erdos_renyi_edges
 from repro.generators.palu_graph import generate_palu_graph
@@ -43,6 +54,7 @@ from repro.scenarios import BUILTIN_SCENARIO_NAMES, get_scenario
 from repro.scenarios.families import build_family_edges
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "generator_edges.json"
+SCRIPT = "tests/test_generators_golden.py"
 SEEDS = tuple(range(8))
 GRID_SEEDS = (0, 1)
 
@@ -151,11 +163,17 @@ CASES = _cases()
 
 
 @pytest.fixture(scope="module")
-def golden() -> dict:
-    if not GOLDEN_PATH.is_file():  # pragma: no cover - regeneration guard
-        pytest.fail(f"golden file {GOLDEN_PATH} missing; regenerate with "
-                    f"'python tests/test_generators_golden.py --write'")
-    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+def recorded() -> tuple[int, dict]:
+    return golden_version.load(GOLDEN_PATH, SCRIPT)
+
+
+@pytest.fixture(scope="module")
+def golden(recorded) -> dict:
+    return recorded[1]
+
+
+def test_golden_was_recorded_under_a_current_version(recorded):
+    assert recorded[0] <= SPEC_FORMAT_VERSION
 
 
 def test_golden_covers_every_case(golden):
@@ -165,20 +183,43 @@ def test_golden_covers_every_case(golden):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_generator_output_matches_golden(golden, case):
-    assert CASES[case]() == golden[case], (
-        f"{case}: generator output moved off its golden digest"
+def test_generator_output_matches_golden(recorded, case):
+    version, golden = recorded
+    assert CASES[case]() == golden[case], golden_version.mismatch_message(case, version, SCRIPT)
+
+
+def _recorded_file(tmp_path, version: int, digests: dict) -> Path:
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({golden_version.VERSION_KEY: version, **digests}), encoding="utf-8")
+    return path
+
+
+def test_moved_digest_at_the_recorded_version_asks_for_a_bump():
+    message = golden_version.mismatch_message("pa/m1/seed0", SPEC_FORMAT_VERSION, SCRIPT)
+    assert "bump SPEC_FORMAT_VERSION" in message
+    assert "bump" not in golden_version.mismatch_message("pa/m1/seed0", SPEC_FORMAT_VERSION - 1, SCRIPT)
+
+
+def test_write_refuses_a_moved_digest_at_an_unchanged_version(tmp_path):
+    path = _recorded_file(tmp_path, SPEC_FORMAT_VERSION, {"a": {"sha256": "old"}})
+    before = path.read_text(encoding="utf-8")
+    assert golden_version.write(path, {"a": lambda: {"sha256": "new"}}, SCRIPT) == 1
+    assert path.read_text(encoding="utf-8") == before
+
+
+def test_write_records_new_cases_and_moves_under_a_bumped_version(tmp_path):
+    path = _recorded_file(tmp_path, SPEC_FORMAT_VERSION, {"a": {"sha256": "same"}})
+    cases = {"a": lambda: {"sha256": "same"}, "b": lambda: {"sha256": "added"}}
+    assert golden_version.write(path, cases, SCRIPT) == 0
+    assert golden_version.load(path, SCRIPT) == (
+        SPEC_FORMAT_VERSION, {"a": {"sha256": "same"}, "b": {"sha256": "added"}}
     )
-
-
-def _write_golden() -> None:
-    snapshot = {name: CASES[name]() for name in sorted(CASES)}
-    GOLDEN_PATH.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN_PATH} ({len(snapshot)} cases)")
+    path = _recorded_file(tmp_path, SPEC_FORMAT_VERSION - 1, {"a": {"sha256": "old"}})
+    assert golden_version.write(path, {"a": lambda: {"sha256": "new"}}, SCRIPT) == 0
+    assert golden_version.load(path, SCRIPT) == (SPEC_FORMAT_VERSION, {"a": {"sha256": "new"}})
 
 
 if __name__ == "__main__":
     if "--write" in sys.argv:
-        _write_golden()
-    else:
-        print(__doc__)
+        sys.exit(golden_version.write(GOLDEN_PATH, CASES, SCRIPT))
+    print(__doc__)

@@ -7,22 +7,21 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.histogram import degree_histogram
 from repro.core.palu_model import PALUParameters
 from repro.core.powerlaw_fit import fit_discrete_mle
-from repro.generators import preferential_attachment
 from repro.generators.configuration_model import configuration_model_edges
 from repro.generators.degree_sequence import sample_power_law_degrees
 from repro.generators.palu_graph import generate_palu_graph
 from repro.generators.poisson_stars import poisson_star_edges
 from repro.generators.preferential_attachment import (
     _choice_without_replacement,
+    _copying_growth,
     _dense_growth,
     _shifted_growth,
-    _single_edge_growth,
     attachment_shift_for_alpha,
     generate_preferential_attachment,
     generate_shifted_preferential_attachment,
@@ -113,43 +112,52 @@ class TestShiftedPreferentialAttachment:
         np.testing.assert_array_equal(_choice_without_replacement(p.copy(), size, replica), expected)
         assert library.random() == replica.random()
 
-    @settings(max_examples=20)
-    @given(
-        n_nodes=st.integers(2, 3000),
-        shift=st.floats(-1.0, 3.0, exclude_min=True),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(n_nodes=500, shift=-1.0 + 2.0**-52, seed=3)
-    def test_single_edge_growth_matches_dense_replica(self, n_nodes, shift, seed):
-        """The Fenwick growth picks the dense loop's targets and leaves the
-        generator in the same state, including shifts so close to -1 that
-        the dense kernel clips weights."""
-        fast, dense = np.random.default_rng(seed), np.random.default_rng(seed)
-        np.testing.assert_array_equal(
-            _single_edge_growth(n_nodes, shift, fast), _dense_growth(n_nodes, 1, shift, dense)
-        )
-        assert fast.bit_generator.state == dense.bit_generator.state
+    @pytest.mark.parametrize("shift", [-0.9, 0.0, 2.0])
+    def test_copying_growth_degree_frequencies_match_dense(self, shift):
+        """Pooled over fixed seeds, the copying model's degree frequencies
+        are those of the dense ``d + a`` kernel."""
+        n_nodes, seeds, top = 2_000, range(8), 6
+        copying, dense = np.zeros(top + 1), np.zeros(top + 1)
+        for seed in seeds:
+            for pooled, targets in (
+                (copying, _copying_growth(n_nodes, shift, np.random.default_rng(seed))),
+                (dense, _dense_growth(n_nodes, 1, shift, np.random.default_rng(seed))),
+            ):
+                degrees = _growth_degrees(targets)
+                pooled += np.bincount(np.minimum(degrees, top), minlength=top + 1)
+        np.testing.assert_allclose(copying / copying.sum(), dense / dense.sum(), atol=0.01)
 
-    def test_forced_fallback_replays_every_step_densely(self, monkeypatch):
-        """With an infinite guard band every step falls back to the dense
-        step, and the growth is still the dense loop's."""
-        dense_step = preferential_attachment._dense_step
-        replayed = []
+    @pytest.mark.parametrize("shift", [-0.5, 0.0, 1.5])
+    def test_copying_growth_follows_the_kernel_exactly_at_five_nodes(self, shift):
+        """Every target sequence of a 5-node growth turns up as often as the
+        product of its steps' ``(d_i + a) / W`` says."""
+        gen = np.random.default_rng(17)
+        runs = 12_000
+        counts: dict[tuple, int] = {}
+        for _ in range(runs):
+            key = tuple(_copying_growth(5, shift, gen).tolist())
+            counts[key] = counts.get(key, 0) + 1
+        for sequence, probability in _kernel_sequence_probabilities(5, shift).items():
+            observed = counts.pop(sequence, 0) / runs
+            assert abs(observed - probability) <= 4.5 * math.sqrt(probability * (1 - probability) / runs)
+        assert counts == {}
 
-        def spy(degrees, shift, x):
-            replayed.append(degrees.size)
-            return dense_step(degrees, shift, x)
+    @pytest.mark.parametrize("n_nodes", [2, 3, 500])
+    @pytest.mark.parametrize("shift", [-1.0 + 2.0**-52, -0.5, 0.0, 3.0])
+    def test_copying_growth_leaves_the_dense_generator_state(self, n_nodes, shift):
+        copying, dense = np.random.default_rng(5), np.random.default_rng(5)
+        _copying_growth(n_nodes, shift, copying)
+        _dense_growth(n_nodes, 1, shift, dense)
+        assert copying.bit_generator.state == dense.bit_generator.state
 
-        monkeypatch.setattr(preferential_attachment, "_GUARD_EPS", math.inf)
-        monkeypatch.setattr(preferential_attachment, "_dense_step", spy)
-        n_nodes = 400
-        for seed, shift in enumerate((-0.9, 0.0, 0.7)):
-            fast, dense = np.random.default_rng(seed), np.random.default_rng(seed)
-            np.testing.assert_array_equal(
-                _single_edge_growth(n_nodes, shift, fast), _dense_growth(n_nodes, 1, shift, dense)
-            )
-            assert fast.bit_generator.state == dense.bit_generator.state
-        assert replayed == list(range(2, n_nodes)) * 3
+    @pytest.mark.parametrize("shift", [-1.0 + 2.0**-52, -1.0 + 1e-9, 50.0])
+    def test_extreme_shifts_give_valid_targets(self, shift):
+        n_nodes = 3_000
+        targets = _copying_growth(n_nodes, shift, np.random.default_rng(9))
+        assert targets.shape == (n_nodes - 1,)
+        # step s = k + 1 attaches to one of the nodes 0..s-1 already there
+        assert targets.min() >= 0
+        assert np.all(targets <= np.arange(n_nodes - 1))
 
     @given(
         n_nodes=st.integers(4, 400),
@@ -164,6 +172,26 @@ class TestShiftedPreferentialAttachment:
             edges, _lexsorted_pa_edges(n_nodes, m_edges, alpha, reference)
         )
         assert fast.bit_generator.state == reference.bit_generator.state
+
+
+def _growth_degrees(targets: np.ndarray) -> np.ndarray:
+    """Node degrees after single-edge growth with arrival-ordered *targets*."""
+    degrees = np.bincount(targets, minlength=targets.size + 1) + 1
+    degrees[0] -= 1  # node 0 only ever receives edges, the seed edge first
+    return degrees
+
+
+def _kernel_sequence_probabilities(n_nodes: int, shift: float) -> dict[tuple, float]:
+    """Exact probability of every single-edge target sequence under ``d + a``."""
+    sequences = {(0,): 1.0}
+    for source in range(2, n_nodes):
+        grown = {}
+        for sequence, probability in sequences.items():
+            weights = _growth_degrees(np.array(sequence)) + shift
+            for node in range(source):
+                grown[sequence + (node,)] = probability * weights[node] / weights.sum()
+        sequences = grown
+    return sequences
 
 
 def _lexsorted_pa_edges(
