@@ -95,7 +95,7 @@ def power_law_plausibility(
     n_tail = int(histogram.counts[tail_mask].sum())
     dmax = histogram.dmax
     model = fit.model(dmax)
-    observed_ks = _tail_ks_distance(histogram, model, d_min)
+    observed_ks = fit.ks
 
     exceed = 0
     for _ in range(n_bootstrap):
@@ -108,8 +108,7 @@ def power_law_plausibility(
             synthetic_fit = fit_discrete_mle(synthetic, d_min=d_min)
         except ValueError:
             continue
-        synthetic_ks = _tail_ks_distance(synthetic, synthetic_fit.model(synthetic.dmax), d_min)
-        if synthetic_ks >= observed_ks:
+        if synthetic_fit.ks >= observed_ks:
             exceed += 1
     p_value = exceed / n_bootstrap
     return PlausibilityResult(
@@ -119,23 +118,6 @@ def power_law_plausibility(
         p_value=p_value,
         n_bootstrap=n_bootstrap,
     )
-
-
-def _tail_ks_distance(histogram: DegreeHistogram, model: DiscreteDegreeDistribution, d_min: int) -> float:
-    """KS distance restricted to the tail ``d >= d_min`` (conditional cdfs)."""
-    mask = histogram.degrees >= d_min
-    degrees = histogram.degrees[mask]
-    counts = histogram.counts[mask]
-    if degrees.size == 0:
-        return 0.0
-    emp_cdf = np.cumsum(counts) / counts.sum()
-    model_cdf = np.asarray(model.cdf(degrees), dtype=np.float64)
-    below = float(model.cdf(d_min - 1)) if d_min > 1 else 0.0
-    tail_mass = 1.0 - below
-    if tail_mass <= 0:
-        return 1.0
-    model_cdf = (model_cdf - below) / tail_mass
-    return float(np.max(np.abs(emp_cdf - model_cdf)))
 
 
 def likelihood_ratio_test(

@@ -56,7 +56,7 @@ from repro._util.logging import get_logger
 from repro.campaigns.store import ResultStore
 from repro.service.checkpoint import CheckpointPolicy, JobCheckpointer, resume_job
 from repro.service.config import JobConfig, JobConfigError
-from repro.service.engine import BatchError, packet_batch_from_json
+from repro.service.engine import BatchError, BatchJSONError, packet_batch_from_json
 from repro.service.jobs import JobRegistry
 
 __all__ = ["DEFAULT_MAX_BATCH_BYTES", "ServiceDaemon", "serve"]
@@ -421,14 +421,12 @@ class ServiceDaemon:
         traces = []
         for i, line in enumerate(lines, start=1):
             try:
-                obj = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
+                traces.append(packet_batch_from_json(line))
+            except BatchJSONError as error:
                 job.errors += 1
                 raise _HttpError(
                     400, "bad_json", f"batch line {i} is not valid JSON: {error}"
                 ) from None
-            try:
-                traces.append(packet_batch_from_json(obj))
             except BatchError as error:
                 job.errors += 1
                 raise _HttpError(400, "bad_batch", f"batch line {i}: {error}") from None

@@ -18,7 +18,7 @@ from repro.core.goodness_of_fit import (
     likelihood_ratio_test,
     power_law_plausibility,
 )
-from repro.core.powerlaw_fit import fit_power_law
+from repro.core.powerlaw_fit import fit_discrete_mle, fit_power_law
 from repro.core.zm_fit import fit_zipf_mandelbrot_histogram
 
 
@@ -52,6 +52,19 @@ class TestPowerLawPlausibility:
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError):
             power_law_plausibility(degree_histogram([]), n_bootstrap=5)
+
+    def test_observed_ks_is_the_fit_statistic(self):
+        """The statistic sees the model mass below each observed degree.
+
+        Between the observed degrees 6 and 40 the fitted model opens a gap
+        the empirical cdf does not follow; a statistic that compares the
+        two cdfs only at observed degrees reads 0.096 here, not 0.527.
+        """
+        histogram = degree_histogram([5, 5, 5, 6, 40, 40])
+        result = power_law_plausibility(histogram, d_min=2, n_bootstrap=5, rng=0)
+        expected = fit_discrete_mle(histogram, d_min=2).ks
+        assert result.observed_ks == expected
+        assert expected == pytest.approx(0.527, abs=1e-3)
 
 
 class TestLikelihoodRatioTest:

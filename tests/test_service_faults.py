@@ -23,6 +23,7 @@ import json
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from repro.campaigns.store import ResultStore
@@ -172,6 +173,76 @@ class TestFaultContainment:
         assert needle in body["error"]["message"]
         assert daemon.windows_folded() == before
         daemon.assert_fold_advances()
+
+    @pytest.mark.parametrize(
+        ("column", "value", "message"),
+        [
+            (
+                "src",
+                "-7",
+                "batch line 1: batch column 'src' has out-of-range ids (min -7, max 2); "
+                "ids must be in [0, 4294967295]",
+            ),
+            (
+                "size",
+                "2147483648",
+                "batch line 1: batch column 'size' has out-of-range sizes "
+                "(min 64, max 2147483648); sizes must be in [0, 2147483647]",
+            ),
+            (
+                "time",
+                "NaN",
+                "batch line 1: batch column 'time' must be finite numbers (no NaN or Infinity)",
+            ),
+        ],
+    )
+    def test_bad_value_in_a_jobs_feed_line(self, daemon, column, value, message):
+        """The layout ``repro jobs feed`` sends draws the same 400 as any other."""
+        columns = {
+            "src": [0, 1, 2],
+            "dst": [1, 2, 0],
+            "time": [0.0, 0.25, 1.5],
+            "size": [64, 64, 1500],
+            "valid": [True, True, False],
+        }
+        line = json.dumps(columns).replace(
+            f'"{column}": [{json.dumps(columns[column][0])}', f'"{column}": [{value}', 1
+        )
+        assert value in line
+        before = daemon.windows_folded()
+        status, body = daemon.request("POST", f"/ingest/{JOB}", line + "\n")
+        _assert_structured_error(status, body, "bad_batch")
+        assert body["error"]["message"] == message
+        assert daemon.windows_folded() == before
+        daemon.assert_fold_advances()
+
+    def test_compact_feed_pools_like_a_jobs_feed(self, daemon):
+        """Any JSON layout of the same batches folds to the same result."""
+        rng = np.random.default_rng(7)
+        lines = {"canonical": [], "compact": []}
+        for _ in range(5):
+            n = 250
+            batch = {
+                "src": rng.integers(0, 300, n).tolist(),
+                "dst": rng.integers(0, 300, n).tolist(),
+                "time": np.cumsum(rng.exponential(1e-3, n)).tolist(),
+                "size": rng.integers(40, 1500, n).tolist(),
+                "valid": (rng.random(n) < 0.9).tolist(),
+            }
+            lines["canonical"].append(json.dumps(batch))
+            lines["compact"].append(json.dumps(batch, separators=(",", ":")))
+        for name, batch_lines in lines.items():
+            config = {"name": name, "window": {"n_valid": N_VALID}}
+            assert daemon.request("POST", "/jobs", json.dumps(config))[0] == 200
+            for line in batch_lines:
+                status, body = daemon.request("POST", f"/ingest/{name}", line + "\n")
+                assert status == 200, body
+        results = [daemon.daemon.registry.get(name).engine.result() for name in lines]
+        assert results[0].n_windows == results[1].n_windows > 0
+        for quantity in results[0].quantities:
+            mine, theirs = (result.pooled(quantity) for result in results)
+            assert mine.values.tobytes() == theirs.values.tobytes()
+            assert mine.sigma.tobytes() == theirs.sigma.tobytes()
 
     def test_wrong_shape_batch(self, daemon):
         bad = json.dumps({"src": [1, 2, 3], "dst": [4]})
