@@ -15,7 +15,7 @@ values so downstream pooling and fitting never have to recompute them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from repro._util.validation import check_integer_array
 
 __all__ = [
     "DegreeHistogram",
+    "HistogramBlock",
     "degree_histogram",
     "probability_from_counts",
     "cumulative_probability",
@@ -163,6 +164,85 @@ class DegreeHistogram:
     def from_values(values: Sequence[int]) -> "DegreeHistogram":
         """Build a histogram from raw per-node/per-link quantity values."""
         return degree_histogram(values)
+
+
+class HistogramBlock(Mapping[str, DegreeHistogram]):
+    """Histograms of several named quantities, packed end to end.
+
+    Row ``k`` (quantity ``names[k]``) is entries ``starts[k]:starts[k + 1]``
+    of ``degrees`` and ``counts``: the degrees with a nonzero count, in
+    increasing order.  ``dmax[k]`` is the row's largest degree (0 for an
+    empty row) and ``totals[k]`` its count sum.  As a mapping it reads
+    each row back as a :class:`DegreeHistogram`, built on access.  The
+    window fold works on the arrays directly: :meth:`pooled` pools every
+    row with one weighted ``bincount`` and caches the result, so every
+    consumer of one window shares it.
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        degrees: np.ndarray,
+        counts: np.ndarray,
+        starts: np.ndarray,
+        dmax: np.ndarray,
+        totals: np.ndarray,
+    ) -> None:
+        self.names = tuple(names)
+        self.degrees = degrees
+        self.counts = counts
+        self.starts = starts
+        self.dmax = dmax
+        self.totals = totals
+        self._pooled = None
+
+    @classmethod
+    def from_histograms(cls, histograms: Mapping[str, DegreeHistogram]) -> "HistogramBlock":
+        """Pack a mapping of histograms, row per key, in the mapping's order."""
+        rows = [(h.degrees[h.counts > 0], h.counts[h.counts > 0]) for h in histograms.values()]
+        empty = np.zeros(0, dtype=np.int64)
+        starts = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([degrees.size for degrees, _ in rows], out=starts[1:])
+        return cls(
+            histograms,
+            np.concatenate([empty] + [degrees for degrees, _ in rows]),
+            np.concatenate([empty] + [counts for _, counts in rows]),
+            starts,
+            np.array([degrees[-1] if degrees.size else 0 for degrees, _ in rows], dtype=np.int64),
+            np.array([counts.sum() for _, counts in rows], dtype=np.int64),
+        )
+
+    def __getitem__(self, name: str) -> DegreeHistogram:
+        try:
+            row = self.names.index(name)
+        except ValueError:
+            raise KeyError(name) from None
+        entries = slice(self.starts[row], self.starts[row + 1])
+        return DegreeHistogram._from_unique_trusted(
+            self.degrees[entries].copy(), self.counts[entries].copy()
+        )
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def select(self, names: Sequence[str]) -> "HistogramBlock":
+        """The block of just *names*, in that order (``self`` when unchanged)."""
+        names = tuple(names)
+        if names == self.names:
+            return self
+        histograms = {name: self[name] for name in names}
+        return HistogramBlock.from_histograms(histograms)
+
+    def pooled(self):
+        """Every row pooled in binary-log bins (a cached ``PooledBlock``)."""
+        if self._pooled is None:
+            from repro.analysis.pooling import pool_block
+
+            self._pooled = pool_block(self)
+        return self._pooled
 
 
 def degree_histogram(values: Sequence[int]) -> DegreeHistogram:

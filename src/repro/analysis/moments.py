@@ -31,6 +31,7 @@ import numpy as np
 from repro._util.validation import check_nonnegative, check_positive
 
 __all__ = [
+    "StackedMoments",
     "StreamingMoments",
     "residual_moment_sums",
     "residual_moment_ratio",
@@ -134,6 +135,82 @@ class StreamingMoments:
             return np.zeros(self._mean.size, dtype=np.float64)
         variance = np.maximum(self._m2 / (self._count - ddof), 0.0)
         return np.sqrt(variance)
+
+
+def _widened(block: np.ndarray, width: int) -> np.ndarray:
+    """*block* zero-padded on the right to *width* columns."""
+    grown = np.zeros((block.shape[0], width), dtype=block.dtype)
+    grown[:, : block.shape[1]] = block
+    return grown
+
+
+class StackedMoments:
+    """:class:`StreamingMoments` for several vector streams updated together.
+
+    One Welford state of shape ``(rows, width)``, where every update folds
+    one vector per row and row ``k`` remembers its own length
+    ``widths[k]`` (the longest vector seen on that row).  Positions past a
+    row's vector are folded as zeros and stay exactly ``0.0`` until the row
+    grows into them, so each row reads back bit-identical to a
+    :class:`StreamingMoments` fed that row's vectors alone.
+    """
+
+    def __init__(self, n_rows: int, width: int = 0) -> None:
+        self.count = 0
+        self.widths = np.zeros(n_rows, dtype=np.int64)
+        self._mean = np.zeros((n_rows, width), dtype=np.float64)
+        self._m2 = np.zeros((n_rows, width), dtype=np.float64)
+
+    def update(self, values: np.ndarray, widths: np.ndarray) -> None:
+        """Fold one ``(rows, w)`` block whose row ``k`` has length ``widths[k]``.
+
+        Entries of row ``k`` past ``widths[k]`` must be ``0.0``.
+        """
+        width = values.shape[1]
+        if width > self._mean.shape[1]:
+            # zero-padding the state is exact, as in StreamingMoments.update
+            self._mean = _widened(self._mean, width)
+            self._m2 = _widened(self._m2, width)
+        elif width < self._mean.shape[1]:
+            values = _widened(values, self._mean.shape[1])
+        self.count += 1
+        delta = values - self._mean
+        self._mean += delta / self.count
+        self._m2 += delta * (values - self._mean)
+        np.maximum(self.widths, widths, out=self.widths)
+
+    def mean(self, row: int) -> np.ndarray:
+        """Running mean of one row."""
+        return self._mean[row, : self.widths[row]].copy()
+
+    def std(self, row: int) -> np.ndarray:
+        """Running population standard deviation of one row."""
+        if self.count == 0:
+            return np.zeros(int(self.widths[row]), dtype=np.float64)
+        return np.sqrt(np.maximum(self._m2[row, : self.widths[row]] / self.count, 0.0))
+
+    def state(self, row: int) -> dict:
+        """One row's state in :meth:`StreamingMoments.state` form."""
+        width = self.widths[row]
+        return {
+            "count": int(self.count),
+            "mean": self._mean[row, :width].copy(),
+            "m2": self._m2[row, :width].copy(),
+        }
+
+    @classmethod
+    def from_states(cls, states) -> "StackedMoments":
+        """Stack per-row :meth:`StreamingMoments.state` payloads of one count."""
+        rows = [StreamingMoments.from_state(state) for state in states]
+        if len({row.count for row in rows}) > 1:
+            raise ValueError("stacked moments rows must share one count")
+        stacked = cls(len(rows), max((row.n_bins for row in rows), default=0))
+        for k, row in enumerate(rows):
+            stacked._mean[k, : row.n_bins] = row._mean
+            stacked._m2[k, : row.n_bins] = row._m2
+            stacked.widths[k] = row.n_bins
+        stacked.count = rows[0].count if rows else 0
+        return stacked
 
 
 def residual_moment_sums(

@@ -30,8 +30,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro._util.validation import check_positive_int
-from repro.analysis.moments import StreamingMoments
-from repro.analysis.pooling import PooledDistribution, pool_differential_cumulative
+from repro.analysis.moments import StackedMoments
+from repro.analysis.pooling import PooledBlock, PooledDistribution, log2_bin_edges
 
 __all__ = ["PhaseDrift", "PhaseSegmentedAnalysis", "PhaseSegmentedAnalyzer"]
 
@@ -110,20 +110,19 @@ class PhaseSegmentedAnalyzer:
         self.n_phases = check_positive_int(n_phases, "n_phases")
         self.quantities = tuple(quantities)
         self._phase_of = phase_of_valid_index
-        self._moments = [
-            {q: StreamingMoments() for q in self.quantities} for _ in range(self.n_phases)
-        ]
-        self._totals = [{q: 0 for q in self.quantities} for _ in range(self.n_phases)]
+        # one stacked Welford state per phase, a row per quantity, as wide
+        # as the pooled vectors of any exact window
+        width = log2_bin_edges(self.n_valid).size
+        self._moments = [StackedMoments(len(self.quantities), width) for _ in range(self.n_phases)]
+        self._totals = np.zeros((self.n_phases, len(self.quantities)), dtype=np.int64)
         self._window_phase: list[int] = []
 
-    def update(self, result, *, pooled: Mapping[str, PooledDistribution] | None = None) -> None:
+    def update(self, result, *, pooled: PooledBlock | None = None) -> None:
         """Attribute one :class:`WindowResult` (in stream order) and fold it.
 
-        *pooled* optionally supplies the window's already-pooled
-        distributions (keyed by quantity) to share the pooling work with a
-        :class:`~repro.streaming.pipeline.StreamAnalyzer` consuming the same
-        stream; entries must equal
-        ``pool_differential_cumulative(result.histograms[q])``.
+        *pooled* optionally supplies the window's pooled vectors, with the
+        same sharing semantics as
+        :meth:`~repro.streaming.pipeline.StreamAnalyzer.update`.
         """
         window = len(self._window_phase)
         midpoint = window * self.n_valid + self.n_valid // 2
@@ -131,32 +130,28 @@ class PhaseSegmentedAnalyzer:
         if not 0 <= phase < self.n_phases:
             raise ValueError(f"phase attribution returned {phase}, outside 0..{self.n_phases - 1}")
         self._window_phase.append(phase)
-        for quantity in self.quantities:
-            window_pooled = (
-                pooled[quantity] if pooled is not None and quantity in pooled
-                else pool_differential_cumulative(result.histograms[quantity])
-            )
-            self._moments[phase][quantity].update(window_pooled.values)
-            self._totals[phase][quantity] += window_pooled.total
+        if pooled is None:
+            pooled = result.histograms.pooled()
+        window_pooled = pooled.select(self.quantities)
+        self._moments[phase].update(window_pooled.values, window_pooled.n_bins)
+        self._totals[phase] += window_pooled.totals
 
     def result(self) -> "PhaseSegmentedAnalysis":
         """Finalize into an immutable :class:`PhaseSegmentedAnalysis`."""
         pooled: list[dict[str, PooledDistribution] | None] = []
-        for phase in range(self.n_phases):
-            if not any(m.count for m in self._moments[phase].values()):
+        for phase, moments in enumerate(self._moments):
+            if not moments.count:
                 pooled.append(None)
                 continue
-            per_quantity = {}
-            for quantity in self.quantities:
-                moments = self._moments[phase][quantity]
-                edges = 2 ** np.arange(moments.n_bins, dtype=np.int64)
-                per_quantity[quantity] = PooledDistribution(
-                    bin_edges=edges,
-                    values=moments.mean(),
-                    sigma=moments.std(ddof=0),
-                    total=self._totals[phase][quantity],
+            pooled.append({
+                quantity: PooledDistribution(
+                    bin_edges=2 ** np.arange(moments.widths[row], dtype=np.int64),
+                    values=moments.mean(row),
+                    sigma=moments.std(row),
+                    total=int(self._totals[phase, row]),
                 )
-            pooled.append(per_quantity)
+                for row, quantity in enumerate(self.quantities)
+            })
         return PhaseSegmentedAnalysis(
             n_valid=self.n_valid,
             quantities=self.quantities,

@@ -19,15 +19,17 @@ reported in Figure 3's error bars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro._util.validation import check_positive_int
-from repro.analysis.histogram import DegreeHistogram
+from repro.analysis.histogram import DegreeHistogram, HistogramBlock
 
 __all__ = [
     "PooledDistribution",
+    "PooledBlock",
+    "pool_block",
     "log2_bin_edges",
     "log2_bin_index",
     "pool_differential_cumulative",
@@ -219,6 +221,92 @@ def pool_differential_cumulative(
     bin_idx = _log2_bin_index_unchecked(histogram.degrees)
     values = np.bincount(bin_idx, weights=histogram.probability(), minlength=edges.size)
     return PooledDistribution._trusted(edges, values, None, total)
+
+
+#: ``_LOG2_BIN_TABLE[d - 1]`` is the log2 bin of degree ``d``; grown on
+#: demand to the largest degree pooled so far.
+_LOG2_BIN_TABLE = np.zeros(0, dtype=np.int64)
+
+
+def _log2_bin_table(dmax: int) -> np.ndarray:
+    """The degree→bin table covering degrees ``1..dmax`` (at least)."""
+    global _LOG2_BIN_TABLE
+    if _LOG2_BIN_TABLE.size < dmax:
+        size = max(dmax, 2 * _LOG2_BIN_TABLE.size, 1024)
+        _LOG2_BIN_TABLE = _log2_bin_index_unchecked(np.arange(1, size + 1, dtype=np.int64))
+    return _LOG2_BIN_TABLE
+
+
+class PooledBlock(Mapping[str, PooledDistribution]):
+    """One window's pooled vectors of several quantities, one row each.
+
+    Row ``k`` pools quantity ``names[k]``: ``values[k, :n_bins[k]]`` is its
+    ``D_t(d_i)``, and the row is ``0.0`` beyond ``n_bins[k]`` up to the
+    common width.  ``totals[k]`` is the row's observation count.  As a
+    mapping it reads each row back as the :class:`PooledDistribution` that
+    :func:`pool_differential_cumulative` gives for that quantity.
+    """
+
+    def __init__(self, names, values: np.ndarray, n_bins: np.ndarray, totals: np.ndarray) -> None:
+        self.names = tuple(names)
+        self.values = values
+        self.n_bins = n_bins
+        self.totals = totals
+
+    def vector(self, name: str) -> np.ndarray:
+        """The pooled values of one quantity (a read-only view)."""
+        row = self._row(name)
+        return self.values[row, : int(self.n_bins[row])]
+
+    def _row(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise KeyError(name) from None
+
+    def __getitem__(self, name: str) -> PooledDistribution:
+        row = self._row(name)
+        edges = 2 ** np.arange(int(self.n_bins[row]), dtype=np.int64)
+        return PooledDistribution._trusted(
+            edges, self.vector(name).copy(), None, int(self.totals[row])
+        )
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def select(self, names: Sequence[str]) -> "PooledBlock":
+        """The rows of just *names*, in that order (``self`` when unchanged)."""
+        names = tuple(names)
+        if names == self.names:
+            return self
+        rows = [self._row(name) for name in names]
+        return PooledBlock(names, self.values[rows], self.n_bins[rows], self.totals[rows])
+
+
+def pool_block(block: HistogramBlock) -> PooledBlock:
+    """Pool every row of a :class:`HistogramBlock` with one weighted ``bincount``.
+
+    Each entry, degree ``d`` of row ``k``, lands in bin column
+    ``ceil(log2(d))`` of row ``k`` with weight ``count / total`` — the
+    terms :func:`pool_differential_cumulative` sums, in the same degree
+    order, so each row is bit-identical to pooling that quantity alone.
+    """
+    dmax = block.dmax.tolist()
+    table = _log2_bin_table(max(dmax, default=0))
+    n_bins = [int(table[d - 1]) + 1 if d else 0 for d in dmax]
+    width = max(n_bins, default=0)
+    per_row = block.starts[1:] - block.starts[:-1]
+    bins = table[block.degrees - 1] + np.repeat(np.arange(len(dmax)) * width, per_row)
+    weights = block.counts / np.repeat(block.totals, per_row)
+    values = np.bincount(bins, weights=weights, minlength=len(dmax) * width)
+    # an empty bincount is int64 even with weights
+    values = values.astype(np.float64, copy=False)
+    return PooledBlock(
+        block.names, values.reshape(len(dmax), width), np.array(n_bins, dtype=np.int64), block.totals
+    )
 
 
 def pool_probability_vector(probability: Sequence[float]) -> PooledDistribution:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from repro.analysis.pooling import PooledDistribution, pool_differential_cumulative
+from repro.analysis.pooling import PooledBlock
 from repro.detect.detectors import DriftDetector, make_detectors
 from repro.streaming.pipeline import StreamAnalyzer, WindowedAnalysis, WindowResult
 from repro.streaming.sketch import SketchConfig
@@ -121,6 +121,7 @@ class DetectingAnalyzer:
                 f"available: {list(analyzer.quantities)}"
             )
         self._alarms: dict[str, list[int]] = {d.name: [] for d in self.detectors}
+        self._n_alarms = 0
 
     @property
     def n_windows(self) -> int:
@@ -137,28 +138,22 @@ class DetectingAnalyzer:
         """Sketch config of the wrapped analyzer (``None`` in exact mode)."""
         return self.analyzer.sketch_config
 
-    def update(
-        self,
-        result: WindowResult,
-        *,
-        pooled: Mapping[str, PooledDistribution] | None = None,
-    ) -> None:
+    def update(self, result: WindowResult, *, pooled: PooledBlock | None = None) -> None:
         """Fold one window result, then score it through every detector.
 
         *pooled* has the same sharing semantics as
-        :meth:`StreamAnalyzer.update`: when the caller already pooled this
-        window's histograms, detection reuses the vector instead of pooling
-        again.
+        :meth:`StreamAnalyzer.update`: detection reads the monitored row of
+        the vectors the fold already pooled instead of pooling again.
         """
         self.analyzer.update(result, pooled=pooled)
-        window_pooled = (
-            pooled[self.quantity] if pooled is not None and self.quantity in pooled
-            else pool_differential_cumulative(result.histograms[self.quantity])
-        )
+        if pooled is None:
+            pooled = result.histograms.pooled()
+        vector = pooled.vector(self.quantity)
         index = self.analyzer.n_windows - 1
         for detector in self.detectors:
-            if detector.observe(window_pooled.values):
+            if detector.observe(vector):
                 self._alarms[detector.name].append(index)
+                self._n_alarms += 1
 
     def snapshot(self) -> dict:
         """Exact detection state for service checkpoints.
@@ -203,10 +198,20 @@ class DetectingAnalyzer:
         for detector, entry in zip(self.detectors, entries):
             detector.restore_state(entry["state"])
         self._alarms = {name: list(indices) for name, indices in dict(state["alarms"]).items()}
+        self._n_alarms = sum(len(indices) for indices in self._alarms.values())
 
     def result(self, *, stats: Mapping[str, object] | None = None) -> WindowedAnalysis:
         """Finalize the wrapped analyzer (detection does not alter it)."""
         return self.analyzer.result(stats=stats)
+
+    @property
+    def n_alarms(self) -> int:
+        """Alarms raised so far by every detector together.
+
+        Equal to ``sum(len(a) for a in self.detection().alarms.values())``
+        without building the :class:`DetectionResult`.
+        """
+        return self._n_alarms
 
     def detection(self) -> DetectionResult:
         """The alarm sequences observed so far, frozen."""

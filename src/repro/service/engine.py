@@ -101,35 +101,45 @@ def _batch_column(batch: Mapping, name: str, n: int | None) -> np.ndarray:
 
 
 def _check_integers(raw, column: np.ndarray, name: str, what: str, high_bound: int) -> None:
-    """Raise unless integral *column* lies in ``[0, high_bound]`` and held no booleans.
-
-    ``np.asarray`` reads ``[true, 2]`` as the integers ``[1, 2]``, so only
-    entries equal to 0 or 1 can have been booleans; just those entries of
-    the decoded list are looked at.
-    """
+    """Raise unless integral *column* lies in ``[0, high_bound]`` and held no booleans."""
     low, high = column.min(), column.max()
     if low < 0 or high > high_bound:
         raise BatchError(
             f"batch column {name!r} has out-of-range {what} (min {low}, max {high}); "
             f"{what} must be in [0, {high_bound}]"
         )
-    if low <= 1 and not isinstance(raw, np.ndarray):
-        suspects = np.flatnonzero(column <= 1).tolist()
-        if any(isinstance(raw[i], (bool, np.bool_)) for i in suspects):
-            raise BatchError(f"batch column {name!r} must be integers, got booleans")
+    if low <= 1:
+        _refuse_booleans(raw, column, name, "integers")
+
+
+def _refuse_booleans(raw, column: np.ndarray, name: str, kind: str) -> None:
+    """Raise if the decoded list *raw* behind numeric *column* held booleans.
+
+    ``np.asarray`` reads ``[true, 2]`` as ``[1, 2]`` and ``[true, 0.5]`` as
+    ``[1.0, 0.5]``, so only entries equal to 0 or 1 can have been
+    booleans; just those entries of the decoded list are looked at.
+    """
+    if isinstance(raw, np.ndarray):
+        return
+    suspects = np.flatnonzero((column == 0) | (column == 1)).tolist()
+    if any(isinstance(raw[i], (bool, np.bool_)) for i in suspects):
+        raise BatchError(f"batch column {name!r} must be {kind}, got booleans")
 
 
 def _check_optional(raw, column: np.ndarray, name: str) -> None:
     """Value checks of the optional ``time`` and ``size`` columns.
 
-    Times must be finite.  Sizes must be integral (JSON ``100.0`` is
+    Times must be finite and not booleans.  Sizes must be integral (JSON ``100.0`` is
     accepted), not booleans, and fit the int32 record field, so nothing
     wraps or casts with a warning when the trace is built.
     """
     if name == "time":
         # min and max propagate NaN and expose either infinity
-        if not (np.isfinite(column.min()) and np.isfinite(column.max())):
+        low, high = column.min(), column.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise BatchError("batch column 'time' must be finite numbers (no NaN or Infinity)")
+        if low <= 1:
+            _refuse_booleans(raw, column, name, "numbers")
         return
     if np.issubdtype(column.dtype, np.floating) and not (column == np.trunc(column)).all():
         raise BatchError("batch column 'size' must be integral byte counts")
@@ -328,7 +338,8 @@ def _canonical_columns(line: bytes) -> dict | None:
             return None
         spans[name] = (position, end)
         position = end
-    if line[position:] != b"]}":
+    # a line may keep the newline that ended it in the request body
+    if line[position:] not in (b"]}", b"]}\n"):
         return None
     columns = {}
     for name in ("src", "dst", "size"):
@@ -460,7 +471,7 @@ class JobEngine:
     def alarms_raised(self) -> int:
         """Total detector alarms so far (0 when the job runs no detectors)."""
         if isinstance(self.folder, DetectingAnalyzer):
-            return sum(len(a) for a in self.folder.detection().alarms.values())
+            return self.folder.n_alarms
         return 0
 
     def ingest(self, chunk: PacketTrace) -> int:

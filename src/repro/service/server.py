@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import signal
 import threading
 from pathlib import Path
@@ -72,6 +73,36 @@ _MAX_HEADER_BYTES = 16 * 1024
 #: How long a connection whose request was rejected unread keeps draining
 #: the client's input before it is closed.
 _LINGER_SECONDS = 2.0
+
+
+#: A byte ``bytes.strip()`` does not remove.
+_NON_BLANK = re.compile(rb"[^ \t\n\r\x0b\x0c]")
+
+
+def _line_spans(body: bytes) -> list[tuple[int, int]]:
+    """``(start, end)`` of each line of *body* that ``bytes.strip()`` would not empty.
+
+    Lines end at ``\n``; the body is walked in place, not split into copies.
+    """
+    spans = []
+    start = 0
+    while start < len(body):
+        end = body.find(b"\n", start)
+        if end < 0:
+            end = len(body)
+        if _NON_BLANK.search(body, start, end):
+            spans.append((start, end))
+        start = end + 1
+    return spans
+
+
+def _line_error(line: bytes) -> BatchJSONError:
+    """The error decoding *line* raises, once decoding it with its newline failed."""
+    try:
+        packet_batch_from_json(line)
+    except BatchJSONError as error:
+        return error
+    raise AssertionError("JSON that is bad with a trailing newline is bad without it")
 
 
 class _HttpError(Exception):
@@ -412,18 +443,23 @@ class ServiceDaemon:
                 f"(limit {limit}); retry after the fold catches up",
                 headers={"Retry-After": "1"},
             )
-        lines = [line for line in body.split(b"\n") if line.strip()]
-        if not lines:
+        spans = _line_spans(body)
+        if not spans:
             job.errors += 1
             raise _HttpError(400, "empty_batch", "request body carried no batch lines")
         # parse and validate EVERY line before folding ANY: a malformed
         # line N must not leave lines < N already folded
         traces = []
-        for i, line in enumerate(lines, start=1):
+        for i, (start, end) in enumerate(spans, start=1):
+            # a body that is one line and its newline is decoded in place
+            whole = len(spans) == 1 and start == 0 and body[end:] in (b"", b"\n")
             try:
-                traces.append(packet_batch_from_json(line))
+                traces.append(packet_batch_from_json(body if whole else body[start:end]))
             except BatchJSONError as error:
                 job.errors += 1
+                if whole and end < len(body):
+                    # report positions within the line, as for every other
+                    error = _line_error(body[start:end])
                 raise _HttpError(
                     400, "bad_json", f"batch line {i} is not valid JSON: {error}"
                 ) from None

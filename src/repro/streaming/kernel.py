@@ -21,7 +21,10 @@ pass is enough:
    the same order as a stable argsort, at the cost of a plain sort — for
    ``destination_fanin`` / ``destination_packets``;
 5. every quantity is a bounded positive integer (``≤ N_V``), so the five
-   histograms are ``np.bincount`` scatters instead of five sorts.
+   histograms are one ``np.bincount`` over the concatenated quantity
+   values, each shifted past the quantities before it, whose nonzero
+   entries form the window's
+   :class:`~repro.analysis.histogram.HistogramBlock`.
 
 The kernel is integer-exact: :func:`fused_products` returns byte-identical
 histograms to the :class:`~repro.streaming.sparse_image.TrafficImage` route
@@ -46,11 +49,11 @@ all-valid windows).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.histogram import DegreeHistogram
+from repro.analysis.histogram import HistogramBlock
 from repro.streaming.aggregates import (
     AggregateProperties,
     QUANTITY_NAMES,
@@ -83,8 +86,9 @@ KERNEL_MAX_ID = 2**32 - 1
 WindowPayload = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 #: Per-window analysis products: the Table-I aggregates and the five
-#: Figure-1 histograms, keyed by :data:`~repro.streaming.aggregates.QUANTITY_NAMES`.
-WindowProducts = Tuple[AggregateProperties, Mapping[str, DegreeHistogram]]
+#: Figure-1 histograms as one packed block, rows in
+#: :data:`~repro.streaming.aggregates.QUANTITY_NAMES` order.
+WindowProducts = Tuple[AggregateProperties, HistogramBlock]
 
 _EMPTY_INT64 = np.zeros(0, dtype=np.int64)
 
@@ -148,15 +152,24 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     change = np.empty(values.size, dtype=bool)
     change[0] = True
     np.not_equal(values[1:], values[:-1], out=change[1:])
-    return np.flatnonzero(change)
+    return change.nonzero()[0]
+
+
+def _run_lengths(starts: np.ndarray, size: int) -> np.ndarray:
+    """Length of each run, given the run *starts* of an array of *size*."""
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = size - starts[-1]
+    return lengths
 
 
 def _empty_products() -> WindowProducts:
-    histograms = {
-        name: DegreeHistogram(degrees=_EMPTY_INT64, counts=_EMPTY_INT64)
-        for name in QUANTITY_NAMES
-    }
-    return AggregateProperties(0, 0, 0, 0), histograms
+    empty = np.zeros(len(QUANTITY_NAMES), dtype=np.int64)
+    block = HistogramBlock(
+        QUANTITY_NAMES, _EMPTY_INT64, _EMPTY_INT64, np.zeros(len(QUANTITY_NAMES) + 1, dtype=np.int64),
+        empty, empty,
+    )
+    return AggregateProperties(0, 0, 0, 0), block
 
 
 def fused_products(src: np.ndarray, dst: np.ndarray) -> WindowProducts:
@@ -183,15 +196,13 @@ def _keyed_products(key: np.ndarray) -> WindowProducts:
     # distinct links and packets per link
     starts = _run_starts(key)
     m = int(starts.size)
-    bounds = np.append(starts, n)
-    link_packets = np.diff(bounds)
+    link_packets = _run_lengths(starts, n)
     unique_keys = key[starts]
 
     # sources: the sorted keys group by source already (top 32 bits)
     u_src = unique_keys >> np.uint64(32)
     src_starts = _run_starts(u_src)
-    src_bounds = np.append(src_starts, m)
-    source_fanout = np.diff(src_bounds)
+    source_fanout = _run_lengths(src_starts, m)
     source_packets = np.add.reduceat(link_packets, src_starts)
 
     # destinations: regroup the m distinct links (not the n packets) by dst.
@@ -202,8 +213,7 @@ def _keyed_products(key: np.ndarray) -> WindowProducts:
     dst_keys.sort()
     dst_order = (dst_keys & np.uint64(KERNEL_MAX_ID)).astype(np.intp)
     dst_starts = _run_starts(dst_keys >> np.uint64(32))
-    dst_bounds = np.append(dst_starts, m)
-    destination_fanin = np.diff(dst_bounds)
+    destination_fanin = _run_lengths(dst_starts, m)
     destination_packets = np.add.reduceat(link_packets[dst_order], dst_starts)
 
     aggregates = AggregateProperties(
@@ -212,18 +222,23 @@ def _keyed_products(key: np.ndarray) -> WindowProducts:
         unique_sources=int(src_starts.size),
         unique_destinations=int(dst_starts.size),
     )
-    histograms = {}
-    for name, values in (
-        ("source_packets", source_packets),
-        ("source_fanout", source_fanout),
-        ("link_packets", link_packets),
-        ("destination_fanin", destination_fanin),
-        ("destination_packets", destination_packets),
-    ):
-        # every value is a positive integer <= n, so the histogram is one
-        # bincount scatter; index 0 (degree zero) is empty by construction
-        histograms[name] = DegreeHistogram._from_dense_trusted(np.bincount(values)[1:])
-    return aggregates, histograms
+    # every value is a positive integer <= n, so the five histograms are one
+    # bincount over the concatenated values, each quantity shifted past the
+    # ones before it by their dmax; its nonzero entries are the packed block
+    values = np.concatenate(
+        (source_packets, source_fanout, link_packets, destination_fanin, destination_packets)
+    )
+    lengths = np.array([src_starts.size, src_starts.size, m, dst_starts.size, dst_starts.size])
+    dmax = np.maximum.reduceat(values, np.cumsum(lengths) - lengths)
+    edges = np.zeros(dmax.size + 1, dtype=np.int64)
+    np.cumsum(dmax, out=edges[1:])
+    values += np.repeat(edges[:-1] - 1, lengths)
+    dense = np.bincount(values)
+    position = dense.nonzero()[0]
+    starts = np.searchsorted(position, edges)
+    degrees = position - np.repeat(edges[:-1] - 1, starts[1:] - starts[:-1])
+    block = HistogramBlock(QUANTITY_NAMES, degrees, dense[position], starts, dmax, lengths)
+    return aggregates, block
 
 
 def image_products(src: np.ndarray, dst: np.ndarray) -> WindowProducts:
@@ -238,7 +253,7 @@ def image_products(src: np.ndarray, dst: np.ndarray) -> WindowProducts:
     from repro.streaming.sparse_image import traffic_image
 
     image = traffic_image(PacketTrace.from_arrays(src, dst))
-    return compute_aggregates(image), quantity_histograms(image)
+    return compute_aggregates(image), HistogramBlock.from_histograms(quantity_histograms(image))
 
 
 def _column_products(
@@ -246,12 +261,15 @@ def _column_products(
 ) -> WindowProducts:
     """Dispatch one window's columns (``valid=None``: all valid) to a kernel.
 
-    When every id packs, the keys are built from the full (possibly
-    strided) columns and the one contiguous key array is compressed by
-    *valid* — cheaper than fancy-indexing two strided record columns.
+    When every id packs, the keys are built from the full columns and the
+    one key array is compressed by *valid* — cheaper than fancy-indexing
+    both columns.
     Only the valid packets must pack, so a window whose *invalid* packets
     carry wide ids filters first and still takes the fused kernel.
     """
+    # a window's record columns are strided: the id check and the key
+    # packing read contiguous copies faster than the records themselves
+    src, dst = np.ascontiguousarray(src), np.ascontiguousarray(dst)
     if packable(src, dst):
         key = _packed_keys(src, dst)
         return _keyed_products(key if valid is None else key[valid])

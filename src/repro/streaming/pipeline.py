@@ -32,9 +32,14 @@ import numpy as np
 
 from repro._util.logging import get_logger
 from repro._util.validation import check_positive_int
-from repro.analysis.histogram import DegreeHistogram
-from repro.analysis.moments import StreamingMoments
-from repro.analysis.pooling import PooledDistribution, pool_differential_cumulative
+from repro.analysis.histogram import DegreeHistogram, HistogramBlock
+from repro.analysis.moments import StackedMoments
+from repro.analysis.pooling import (
+    PooledBlock,
+    PooledDistribution,
+    log2_bin_edges,
+    pool_differential_cumulative,
+)
 from repro.core.zm_fit import ZMFitResult, fit_zipf_mandelbrot
 import repro.streaming.kernel as _kernel
 import repro.streaming.shm as _shm
@@ -108,6 +113,13 @@ class WindowResult:
     histograms: Mapping[str, DegreeHistogram]
     bounds: Mapping[str, SketchBounds] | None = None
     sketch: WindowSketch | None = None
+
+    def __post_init__(self) -> None:
+        # the fold reads one packed block per window; any other mapping of
+        # histograms (the oracle's, the sketch tier's, a hand-built one) is
+        # packed once here
+        if not isinstance(self.histograms, HistogramBlock):
+            object.__setattr__(self, "histograms", HistogramBlock.from_histograms(self.histograms))
 
     def pooled(self, quantity: str) -> PooledDistribution:
         """Pooled differential cumulative distribution of one quantity."""
@@ -308,20 +320,20 @@ class StreamAnalyzer:
             raise ValueError(f"duplicate quantities in {list(self.quantities)}")
         self.sketch_config = _resolve_sketch_config(mode, sketch)
         self.mode = mode
-        self._moments = {q: StreamingMoments() for q in self.quantities}
-        self._totals = {q: 0 for q in self.quantities}
-        # merged histograms are folded as growing dense count buffers: one
-        # int64 scatter-add per window instead of a DegreeHistogram
-        # re-validation per merge — integer sums, so the final histogram is
-        # identical to chained DegreeHistogram.merge calls.  In sketch mode
-        # the dense buffers are replaced by a single merged WindowSketch
-        # (Count-Min add / HyperLogLog max / bitmap or — associative, so
-        # the fold is invariant to how the window stream was chunked) and
-        # merged histograms are estimated from it on demand.
-        self._merged_dense: dict[str, np.ndarray] = (
-            {} if self.sketch_config is not None
-            else {q: np.zeros(0, dtype=np.int64) for q in self.quantities}
-        )
+        self._row = {q: k for k, q in enumerate(self.quantities)}
+        # one stacked Welford state, a row per quantity, wide enough for any
+        # exact window (no quantity of N_V valid packets exceeds N_V)
+        self._moments = StackedMoments(len(self.quantities), log2_bin_edges(self.n_valid).size)
+        self._totals = np.zeros(len(self.quantities), dtype=np.int64)
+        # merged histograms are one int64 count buffer, each quantity's
+        # dense counts over 1..dmax end to end (_set_merged): one
+        # scatter-add of the packed block per window — integer sums, so the
+        # final histograms are identical to chained DegreeHistogram.merge
+        # calls.  In sketch mode the buffer stays empty and a single merged
+        # WindowSketch (Count-Min add / HyperLogLog max / bitmap or —
+        # associative, so the fold is invariant to how the window stream
+        # was chunked) serves the merged histograms on demand.
+        self._set_merged([np.zeros(0, dtype=np.int64)] * len(self.quantities))
         self._merged_sketch: WindowSketch | None = None
         self._aggregates: list[AggregateProperties] = []
         self._windows: list[WindowResult] | None = [] if keep_windows else None
@@ -332,41 +344,26 @@ class StreamAnalyzer:
         """Number of window results folded in so far."""
         return self._n_windows
 
-    def update(
-        self,
-        result: WindowResult,
-        *,
-        pooled: Mapping[str, PooledDistribution] | None = None,
-    ) -> None:
+    def update(self, result: WindowResult, *, pooled: PooledBlock | None = None) -> None:
         """Fold one window result into the running aggregates.
 
-        *pooled* optionally supplies this window's already-pooled
-        distributions (keyed by quantity) so a second consumer of the same
-        result stream — e.g. the scenario runner's phase segmenter — shares
-        the pooling work instead of repeating it; entries must equal
-        ``pool_differential_cumulative(result.histograms[q])``.
+        *pooled* optionally supplies this window's pooled vectors as the
+        process backend's workers ship them
+        (``result.histograms.pooled()``, rows selected); without it the
+        window's block pools itself once and caches the rows, so a second
+        consumer of the same result stream — e.g. the scenario runner's
+        phase segmenter — shares the pooling work instead of repeating it.
         """
         self._n_windows += 1
         self._aggregates.append(result.aggregates)
-        for quantity in self.quantities:
-            histogram = result.histograms[quantity]
-            window_pooled = (
-                pooled[quantity] if pooled is not None and quantity in pooled
-                else pool_differential_cumulative(histogram)
-            )
-            self._moments[quantity].update(window_pooled.values)
-            self._totals[quantity] += window_pooled.total
-            if self.sketch_config is not None:
-                continue
-            dense = self._merged_dense[quantity]
-            if histogram.dmax > dense.size:
-                grown = np.zeros(histogram.dmax, dtype=np.int64)
-                grown[: dense.size] = dense
-                dense = self._merged_dense[quantity] = grown
-            if histogram.degrees.size:
-                # degrees are unique, so the fancy scatter-add is exact
-                dense[histogram.degrees - 1] += histogram.counts
-        if self.sketch_config is not None:
+        if pooled is None:
+            pooled = result.histograms.pooled()
+        window_pooled = pooled.select(self.quantities)
+        self._moments.update(window_pooled.values, window_pooled.n_bins)
+        self._totals += window_pooled.totals
+        if self.sketch_config is None:
+            self._merge(result.histograms.select(self.quantities))
+        else:
             if result.sketch is None:
                 raise ValueError(
                     "sketch-mode StreamAnalyzer was fed a window result without a "
@@ -381,15 +378,38 @@ class StreamAnalyzer:
         if self._windows is not None:
             self._windows.append(result)
 
+    def _set_merged(self, rows: Sequence[np.ndarray]) -> None:
+        """Lay the merged dense count rows, one per quantity, end to end."""
+        self._merged_len = np.array([row.size for row in rows], dtype=np.int64)
+        self._merged_base = np.cumsum(self._merged_len) - self._merged_len
+        self._merged = np.concatenate([np.zeros(0, dtype=np.int64), *rows])
+
+    def _merged_row(self, row: int) -> np.ndarray:
+        """The merged dense counts of one quantity (a view)."""
+        start = self._merged_base[row]
+        return self._merged[start : start + self._merged_len[row]]
+
+    def _merge(self, block: HistogramBlock) -> None:
+        """Add one packed window block into the merged count buffer."""
+        grow = block.dmax - self._merged_len
+        if (grow > 0).any():
+            self._set_merged([
+                np.concatenate([self._merged_row(row), np.zeros(max(extra, 0), dtype=np.int64)])
+                for row, extra in enumerate(grow.tolist())
+            ])
+        # degree d of row k sits at base[k] + d - 1; the indices are
+        # distinct, so the fancy scatter-add is exact
+        per_row = block.starts[1:] - block.starts[:-1]
+        self._merged[block.degrees - 1 + np.repeat(self._merged_base, per_row)] += block.counts
+
     def pooled(self, quantity: str) -> PooledDistribution:
         """Current cross-window pooled distribution of one quantity."""
-        moments = self._moments[quantity]
-        edges = 2 ** np.arange(moments.n_bins, dtype=np.int64)
+        row = self._row[quantity]
         return PooledDistribution(
-            bin_edges=edges,
-            values=moments.mean(),
-            sigma=moments.std(ddof=0),
-            total=self._totals[quantity],
+            bin_edges=2 ** np.arange(self._moments.widths[row], dtype=np.int64),
+            values=self._moments.mean(row),
+            sigma=self._moments.std(row),
+            total=int(self._totals[row]),
         )
 
     def merged_histogram(self, quantity: str) -> DegreeHistogram:
@@ -403,7 +423,7 @@ class StreamAnalyzer:
             if self._merged_sketch is None:
                 return DegreeHistogram._from_dense_trusted(np.zeros(0, dtype=np.int64))
             return self._merged_sketch.histograms()[quantity]
-        return DegreeHistogram._from_dense_trusted(self._merged_dense[quantity])
+        return DegreeHistogram._from_dense_trusted(self._merged_row(self._row[quantity]))
 
     def snapshot(self) -> dict:
         """Exact fold state for service checkpoints.
@@ -411,21 +431,27 @@ class StreamAnalyzer:
         Captures the raw Welford accumulators, totals, merged dense buffers
         (or the merged sketch), the aggregates table, and the window count —
         everything :meth:`update` mutates — as copies, so restoring and
-        continuing the fold is bit-identical to never having stopped.
+        continuing the fold is bit-identical to never having stopped.  The
+        stacked state is written per quantity (``moments``, ``totals`` and
+        ``merged_dense`` keyed by quantity name).
         Raises on ``keep_windows`` analyzers: per-window results are
         unbounded state the checkpoint layer deliberately does not persist
         (the service always folds with ``keep_windows=False``).
         """
         if self._windows is not None:
             raise ValueError("keep_windows analyzers cannot snapshot; per-window results are not checkpointed")
+        rows = self._row.items()
         return {
             "n_valid": int(self.n_valid),
             "quantities": tuple(self.quantities),
             "mode": self.mode,
             "n_windows": int(self._n_windows),
-            "moments": {q: self._moments[q].state() for q in self.quantities},
-            "totals": {q: int(self._totals[q]) for q in self.quantities},
-            "merged_dense": {q: arr.copy() for q, arr in self._merged_dense.items()},
+            "moments": {q: self._moments.state(k) for q, k in rows},
+            "totals": {q: int(self._totals[k]) for q, k in rows},
+            "merged_dense": (
+                {} if self.sketch_config is not None
+                else {q: self._merged_row(k).copy() for q, k in rows}
+            ),
             "merged_sketch": self._merged_sketch.copy() if self._merged_sketch is not None else None,
             "aggregates": tuple(self._aggregates),
         }
@@ -445,20 +471,18 @@ class StreamAnalyzer:
         if state["mode"] != self.mode:
             raise ValueError("snapshot mode does not match this analyzer")
         self._n_windows = int(state["n_windows"])
-        self._moments = {q: StreamingMoments.from_state(state["moments"][q]) for q in self.quantities}
-        self._totals = {q: int(state["totals"][q]) for q in self.quantities}
+        self._moments = StackedMoments.from_states([state["moments"][q] for q in self.quantities])
+        self._totals = np.array([int(state["totals"][q]) for q in self.quantities], dtype=np.int64)
         if self.sketch_config is not None:
-            self._merged_dense = {}
             sketch = state["merged_sketch"]
             if sketch is not None and sketch.config != self.sketch_config:
                 raise ValueError("snapshot sketch was built under a different SketchConfig")
             self._merged_sketch = sketch.copy() if sketch is not None else None
+            dense = [np.zeros(0, dtype=np.int64)] * len(self.quantities)
         else:
-            self._merged_dense = {
-                q: np.asarray(state["merged_dense"][q], dtype=np.int64).copy()
-                for q in self.quantities
-            }
+            dense = [np.asarray(state["merged_dense"][q], dtype=np.int64) for q in self.quantities]
             self._merged_sketch = None
+        self._set_merged(dense)
         self._aggregates = list(state["aggregates"])
 
     def _state(self, *, stats: Mapping[str, object]) -> _StreamState:
@@ -545,10 +569,10 @@ def analyze_window_sketch(
 
 
 #: Result pair moved through the engine: the window's products plus its
-#: per-quantity pooled vectors when a worker already computed them (the
-#: process backend pools in the worker; other paths pool at fold time, so
-#: the second element is ``None``).
-_ResultPair = Tuple[WindowResult, Optional[Mapping[str, PooledDistribution]]]
+#: pooled vectors when a worker already computed them (the process backend
+#: pools in the worker; other paths pool at fold time, so the second
+#: element is ``None``).
+_ResultPair = Tuple[WindowResult, Optional[PooledBlock]]
 
 #: Windows packed into one process-backend task.  With at most
 #: ``2 × n_workers`` tasks in flight, the engine reads at most
@@ -580,8 +604,7 @@ def _analyze_batch(
                 result = WindowResult(*_kernel.payload_products(payload))
             else:
                 result = WindowResult(*sketch_products(*_kernel.payload_columns(payload), config))
-            pooled = {q: pool_differential_cumulative(result.histograms[q]) for q in quantities}
-            pairs.append((result, pooled))
+            pairs.append((result, result.histograms.pooled().select(quantities)))
     return tuple(pairs)
 
 
@@ -702,34 +725,25 @@ def fold_windows(
         Its ``sketch_config`` picks the per-window analysis tier.
     consumers:
         Additional same-shaped consumers riding the identical in-order
-        result stream (e.g. the scenario runner's phase segmenter).  When
-        any are present — or when *folder* is itself a multi-consumer
-        wrapper — each window is pooled exactly once and the vectors are
-        shared, instead of every consumer re-pooling.
+        result stream (e.g. the scenario runner's phase segmenter).  Each
+        window is pooled exactly once and the vectors are shared, instead of
+        every consumer re-pooling.
 
     Returns
     -------
     int
         Number of windows folded by this call.
     """
-    quantities = tuple(folder.quantities)
     pairs = iter_window_results(
-        backend_impl, windows, quantities=quantities, sketch=folder.sketch_config
+        backend_impl, windows, quantities=tuple(folder.quantities), sketch=folder.sketch_config
     )
-    # pre-pool only when more than one consumer would otherwise repeat the
-    # pooling work; a bare StreamAnalyzer pools internally either way, and
-    # both paths run pool_differential_cumulative on the same histogram, so
-    # the folded numbers are bit-identical regardless of this choice
-    share_pooling = bool(consumers) or not isinstance(folder, StreamAnalyzer)
     n_folded = 0
     # closing releases the map's resources (shared-memory segments, the pool
     # claim) as soon as the fold ends, even when a consumer raised
     with contextlib.closing(pairs):
         for result, pooled in pairs:
-            if pooled is None and share_pooling:
-                pooled = {
-                    q: pool_differential_cumulative(result.histograms[q]) for q in quantities
-                }
+            # a window pools once: the worker's vectors, or the first
+            # consumer's pooling cached on the result's histogram block
             folder.update(result, pooled=pooled)
             for consumer in consumers:
                 consumer.update(result, pooled=pooled)

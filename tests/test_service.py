@@ -238,6 +238,23 @@ class TestJobEngine:
             len(a) for a in one_shot.detection.alarms.values()
         )
 
+    def test_alarm_count_matches_detection(self):
+        config = _config(detection={"detectors": ["ewma", "cusum", "page-hinkley"]})
+        engine = JobEngine(config)
+        scenario = get_scenario("alpha-drift")
+        chunks = list(ScenarioTraceSource(scenario, seed=0, chunk_packets=6_000))
+        for chunk in chunks[: len(chunks) // 2]:
+            engine.ingest(chunk)
+        restored = JobEngine(config)
+        restored.restore(engine.snapshot())
+        for chunk in chunks[len(chunks) // 2 :]:
+            engine.ingest(chunk)
+            restored.ingest(chunk)
+        for job in (engine, restored):
+            alarms = job.detection().alarms
+            assert job.alarms_raised == sum(len(a) for a in alarms.values()) > 0
+            assert job.folder.n_alarms == job.alarms_raised
+
     def test_counters_and_buffering(self):
         engine = JobEngine(_config())
         chunk = _scenario_chunks(N_VALID // 2)[0]

@@ -155,6 +155,15 @@ class TestDecodeEquivalence:
         for index in (0, 1):
             _assert_same(_with_token(batch, column, index, literal))
 
+    @pytest.mark.parametrize("time", [[True, 0.5], [0.5, False], [True, 2], [1.0, True]])
+    @pytest.mark.parametrize("columns", [("src", "dst", "time"), COLUMNS])
+    def test_booleans_among_numbers_in_time(self, time, columns):
+        batch = {"src": [1, 2], "dst": [2, 3], "time": time, "size": [64, 64], "valid": [True, True]}
+        batch = {name: batch[name] for name in columns}
+        refused = ("BatchError", "batch column 'time' must be numbers, got booleans")
+        assert _outcome(batch) == _outcome(json.dumps(batch).encode()) == refused
+        assert _outcome(json.dumps(batch).encode() + b"\n") == refused
+
     def test_not_utf8(self):
         line = b'{"src": [1], "dst": [2\xff]}'
         assert _outcome(line) == _reference(line)

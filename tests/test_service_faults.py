@@ -216,6 +216,56 @@ class TestFaultContainment:
         assert daemon.windows_folded() == before
         daemon.assert_fold_advances()
 
+    @pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")])
+    def test_boolean_in_a_numeric_time_column(self, daemon, separators):
+        """Both decode paths refuse ``true`` beside numbers in ``time``."""
+        columns = {
+            "src": [0, 1],
+            "dst": [1, 2],
+            "time": [True, 0.5],
+            "size": [64, 64],
+            "valid": [True, True],
+        }
+        before = daemon.windows_folded()
+        line = json.dumps(columns, separators=separators)
+        status, body = daemon.request("POST", f"/ingest/{JOB}", line + "\n")
+        _assert_structured_error(status, body, "bad_batch")
+        assert body["error"]["message"] == (
+            "batch line 1: batch column 'time' must be numbers, got booleans"
+        )
+        assert daemon.windows_folded() == before
+        daemon.assert_fold_advances()
+
+    def test_blank_lines_are_skipped(self, daemon):
+        """Blank and whitespace-only lines fold nothing and are not counted."""
+        before = daemon.windows_folded()
+        half = N_VALID // 2
+        body = (
+            "\n \t\n"
+            + _batch_line(half) + "\r\n"
+            + "\x0b\x0c\r\n\n"
+            + _batch_line(half, start=half) + "\n\n"
+        )
+        status, reply = daemon.request("POST", f"/ingest/{JOB}", body)
+        assert status == 200, reply
+        assert reply["batches"] == 2
+        assert reply["windows_folded_now"] == 1
+        assert daemon.windows_folded() == before + 1
+
+    def test_bad_line_number_counts_non_blank_lines(self, daemon):
+        before = daemon.windows_folded()
+        body = "\n" + _batch_line(3) + "\n  \n\n" + '{"src": [1], "dst": [true]}' + "\n"
+        status, reply = daemon.request("POST", f"/ingest/{JOB}", body)
+        _assert_structured_error(status, reply, "bad_batch")
+        assert reply["error"]["message"].startswith("batch line 2: ")
+        status, reply = daemon.request("POST", f"/ingest/{JOB}", "\r\n\n" + '{"src": [1,' + "\n")
+        _assert_structured_error(status, reply, "bad_json")
+        assert reply["error"]["message"] == (
+            "batch line 1 is not valid JSON: Expecting value: line 1 column 12 (char 11)"
+        )
+        assert daemon.windows_folded() == before
+        daemon.assert_fold_advances()
+
     def test_compact_feed_pools_like_a_jobs_feed(self, daemon):
         """Any JSON layout of the same batches folds to the same result."""
         rng = np.random.default_rng(7)
