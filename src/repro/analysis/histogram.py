@@ -175,8 +175,9 @@ class HistogramBlock(Mapping[str, DegreeHistogram]):
     empty row) and ``totals[k]`` its count sum.  As a mapping it reads
     each row back as a :class:`DegreeHistogram`, built on access.  The
     window fold works on the arrays directly: :meth:`pooled` pools every
-    row with one weighted ``bincount`` and caches the result, so every
-    consumer of one window shares it.
+    row with one weighted ``bincount`` and caches the result, and
+    :meth:`select` caches its last selection, so every consumer of one
+    window that reads the same rows shares one pooling.
     """
 
     def __init__(
@@ -195,6 +196,11 @@ class HistogramBlock(Mapping[str, DegreeHistogram]):
         self.dmax = dmax
         self.totals = totals
         self._pooled = None
+        self._selected = None
+
+    def __getstate__(self) -> dict:
+        # the caches are rebuilt on demand, not shipped with the block
+        return {**self.__dict__, "_pooled": None, "_selected": None}
 
     @classmethod
     def from_histograms(cls, histograms: Mapping[str, DegreeHistogram]) -> "HistogramBlock":
@@ -212,11 +218,14 @@ class HistogramBlock(Mapping[str, DegreeHistogram]):
             np.array([counts.sum() for _, counts in rows], dtype=np.int64),
         )
 
-    def __getitem__(self, name: str) -> DegreeHistogram:
+    def _row(self, name: str) -> int:
         try:
-            row = self.names.index(name)
+            return self.names.index(name)
         except ValueError:
             raise KeyError(name) from None
+
+    def __getitem__(self, name: str) -> DegreeHistogram:
+        row = self._row(name)
         entries = slice(self.starts[row], self.starts[row + 1])
         return DegreeHistogram._from_unique_trusted(
             self.degrees[entries].copy(), self.counts[entries].copy()
@@ -233,8 +242,24 @@ class HistogramBlock(Mapping[str, DegreeHistogram]):
         names = tuple(names)
         if names == self.names:
             return self
-        histograms = {name: self[name] for name in names}
-        return HistogramBlock.from_histograms(histograms)
+        if self._selected is None or self._selected.names != names:
+            rows = [self._row(name) for name in names]
+            bounds = self.starts.tolist()
+            degrees, counts, starts = [self.degrees[:0]], [self.counts[:0]], [0]
+            for row in rows:
+                low, high = bounds[row], bounds[row + 1]
+                degrees.append(self.degrees[low:high])
+                counts.append(self.counts[low:high])
+                starts.append(starts[-1] + high - low)
+            self._selected = HistogramBlock(
+                names,
+                np.concatenate(degrees),
+                np.concatenate(counts),
+                np.array(starts, dtype=np.int64),
+                self.dmax[rows],
+                self.totals[rows],
+            )
+        return self._selected
 
     def pooled(self):
         """Every row pooled in binary-log bins (a cached ``PooledBlock``)."""

@@ -131,7 +131,7 @@ class PhaseSegmentedAnalyzer:
             raise ValueError(f"phase attribution returned {phase}, outside 0..{self.n_phases - 1}")
         self._window_phase.append(phase)
         if pooled is None:
-            pooled = result.histograms.pooled()
+            pooled = result.histograms.select(self.quantities).pooled()
         window_pooled = pooled.select(self.quantities)
         self._moments[phase].update(window_pooled.values, window_pooled.n_bins)
         self._totals[phase] += window_pooled.totals

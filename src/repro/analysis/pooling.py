@@ -223,20 +223,6 @@ def pool_differential_cumulative(
     return PooledDistribution._trusted(edges, values, None, total)
 
 
-#: ``_LOG2_BIN_TABLE[d - 1]`` is the log2 bin of degree ``d``; grown on
-#: demand to the largest degree pooled so far.
-_LOG2_BIN_TABLE = np.zeros(0, dtype=np.int64)
-
-
-def _log2_bin_table(dmax: int) -> np.ndarray:
-    """The degree→bin table covering degrees ``1..dmax`` (at least)."""
-    global _LOG2_BIN_TABLE
-    if _LOG2_BIN_TABLE.size < dmax:
-        size = max(dmax, 2 * _LOG2_BIN_TABLE.size, 1024)
-        _LOG2_BIN_TABLE = _log2_bin_index_unchecked(np.arange(1, size + 1, dtype=np.int64))
-    return _LOG2_BIN_TABLE
-
-
 class PooledBlock(Mapping[str, PooledDistribution]):
     """One window's pooled vectors of several quantities, one row each.
 
@@ -294,18 +280,20 @@ def pool_block(block: HistogramBlock) -> PooledBlock:
     terms :func:`pool_differential_cumulative` sums, in the same degree
     order, so each row is bit-identical to pooling that quantity alone.
     """
-    dmax = block.dmax.tolist()
-    table = _log2_bin_table(max(dmax, default=0))
-    n_bins = [int(table[d - 1]) + 1 if d else 0 for d in dmax]
-    width = max(n_bins, default=0)
+    bins = _log2_bin_index_unchecked(block.degrees)
+    # a row's last entry is its largest degree, so its bin closes the row's
+    # vector; an empty row has no bins, as pooling an empty histogram gives
+    bounds = block.starts.tolist()
+    n_bins = [int(bins[high - 1]) + 1 if high > low else 0 for low, high in zip(bounds, bounds[1:])]
+    rows, width = len(n_bins), max(n_bins, default=0)
     per_row = block.starts[1:] - block.starts[:-1]
-    bins = table[block.degrees - 1] + np.repeat(np.arange(len(dmax)) * width, per_row)
+    bins += np.repeat(np.arange(rows) * width, per_row)
     weights = block.counts / np.repeat(block.totals, per_row)
-    values = np.bincount(bins, weights=weights, minlength=len(dmax) * width)
+    values = np.bincount(bins, weights=weights, minlength=rows * width)
     # an empty bincount is int64 even with weights
     values = values.astype(np.float64, copy=False)
     return PooledBlock(
-        block.names, values.reshape(len(dmax), width), np.array(n_bins, dtype=np.int64), block.totals
+        block.names, values.reshape(rows, width), np.array(n_bins, dtype=np.int64), block.totals
     )
 
 

@@ -147,7 +147,7 @@ class DetectingAnalyzer:
         """
         self.analyzer.update(result, pooled=pooled)
         if pooled is None:
-            pooled = result.histograms.pooled()
+            pooled = result.histograms.select(self.analyzer.quantities).pooled()
         vector = pooled.vector(self.quantity)
         index = self.analyzer.n_windows - 1
         for detector in self.detectors:

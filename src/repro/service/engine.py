@@ -338,8 +338,7 @@ def _canonical_columns(line: bytes) -> dict | None:
             return None
         spans[name] = (position, end)
         position = end
-    # a line may keep the newline that ended it in the request body
-    if line[position:] not in (b"]}", b"]}\n"):
+    if line[position:] != b"]}":
         return None
     columns = {}
     for name in ("src", "dst", "size"):

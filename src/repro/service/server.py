@@ -96,15 +96,6 @@ def _line_spans(body: bytes) -> list[tuple[int, int]]:
     return spans
 
 
-def _line_error(line: bytes) -> BatchJSONError:
-    """The error decoding *line* raises, once decoding it with its newline failed."""
-    try:
-        packet_batch_from_json(line)
-    except BatchJSONError as error:
-        return error
-    raise AssertionError("JSON that is bad with a trailing newline is bad without it")
-
-
 class _HttpError(Exception):
     """A request failure that maps to one structured error response."""
 
@@ -451,15 +442,10 @@ class ServiceDaemon:
         # line N must not leave lines < N already folded
         traces = []
         for i, (start, end) in enumerate(spans, start=1):
-            # a body that is one line and its newline is decoded in place
-            whole = len(spans) == 1 and start == 0 and body[end:] in (b"", b"\n")
             try:
-                traces.append(packet_batch_from_json(body if whole else body[start:end]))
+                traces.append(packet_batch_from_json(body[start:end]))
             except BatchJSONError as error:
                 job.errors += 1
-                if whole and end < len(body):
-                    # report positions within the line, as for every other
-                    error = _line_error(body[start:end])
                 raise _HttpError(
                     400, "bad_json", f"batch line {i} is not valid JSON: {error}"
                 ) from None

@@ -152,15 +152,7 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     change = np.empty(values.size, dtype=bool)
     change[0] = True
     np.not_equal(values[1:], values[:-1], out=change[1:])
-    return change.nonzero()[0]
-
-
-def _run_lengths(starts: np.ndarray, size: int) -> np.ndarray:
-    """Length of each run, given the run *starts* of an array of *size*."""
-    lengths = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
-    lengths[-1] = size - starts[-1]
-    return lengths
+    return np.flatnonzero(change)
 
 
 def _empty_products() -> WindowProducts:
@@ -196,13 +188,15 @@ def _keyed_products(key: np.ndarray) -> WindowProducts:
     # distinct links and packets per link
     starts = _run_starts(key)
     m = int(starts.size)
-    link_packets = _run_lengths(starts, n)
+    bounds = np.append(starts, n)
+    link_packets = np.diff(bounds)
     unique_keys = key[starts]
 
     # sources: the sorted keys group by source already (top 32 bits)
     u_src = unique_keys >> np.uint64(32)
     src_starts = _run_starts(u_src)
-    source_fanout = _run_lengths(src_starts, m)
+    src_bounds = np.append(src_starts, m)
+    source_fanout = np.diff(src_bounds)
     source_packets = np.add.reduceat(link_packets, src_starts)
 
     # destinations: regroup the m distinct links (not the n packets) by dst.
@@ -213,7 +207,8 @@ def _keyed_products(key: np.ndarray) -> WindowProducts:
     dst_keys.sort()
     dst_order = (dst_keys & np.uint64(KERNEL_MAX_ID)).astype(np.intp)
     dst_starts = _run_starts(dst_keys >> np.uint64(32))
-    destination_fanin = _run_lengths(dst_starts, m)
+    dst_bounds = np.append(dst_starts, m)
+    destination_fanin = np.diff(dst_bounds)
     destination_packets = np.add.reduceat(link_packets[dst_order], dst_starts)
 
     aggregates = AggregateProperties(
@@ -261,15 +256,12 @@ def _column_products(
 ) -> WindowProducts:
     """Dispatch one window's columns (``valid=None``: all valid) to a kernel.
 
-    When every id packs, the keys are built from the full columns and the
-    one key array is compressed by *valid* — cheaper than fancy-indexing
-    both columns.
+    When every id packs, the keys are built from the full (possibly
+    strided) columns and the one contiguous key array is compressed by
+    *valid* — cheaper than fancy-indexing two strided record columns.
     Only the valid packets must pack, so a window whose *invalid* packets
     carry wide ids filters first and still takes the fused kernel.
     """
-    # a window's record columns are strided: the id check and the key
-    # packing read contiguous copies faster than the records themselves
-    src, dst = np.ascontiguousarray(src), np.ascontiguousarray(dst)
     if packable(src, dst):
         key = _packed_keys(src, dst)
         return _keyed_products(key if valid is None else key[valid])

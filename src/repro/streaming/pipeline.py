@@ -349,20 +349,22 @@ class StreamAnalyzer:
 
         *pooled* optionally supplies this window's pooled vectors as the
         process backend's workers ship them
-        (``result.histograms.pooled()``, rows selected); without it the
-        window's block pools itself once and caches the rows, so a second
-        consumer of the same result stream — e.g. the scenario runner's
-        phase segmenter — shares the pooling work instead of repeating it.
+        (``result.histograms.select(quantities).pooled()``); without it
+        the window's selected rows pool themselves once and cache the
+        result, so a second consumer of the same result stream — e.g. the
+        scenario runner's phase segmenter — shares the pooling work instead
+        of repeating it.
         """
         self._n_windows += 1
         self._aggregates.append(result.aggregates)
+        block = result.histograms.select(self.quantities)
         if pooled is None:
-            pooled = result.histograms.pooled()
+            pooled = block.pooled()
         window_pooled = pooled.select(self.quantities)
         self._moments.update(window_pooled.values, window_pooled.n_bins)
         self._totals += window_pooled.totals
         if self.sketch_config is None:
-            self._merge(result.histograms.select(self.quantities))
+            self._merge(block)
         else:
             if result.sketch is None:
                 raise ValueError(
@@ -391,16 +393,17 @@ class StreamAnalyzer:
 
     def _merge(self, block: HistogramBlock) -> None:
         """Add one packed window block into the merged count buffer."""
-        grow = block.dmax - self._merged_len
-        if (grow > 0).any():
+        if (block.dmax > self._merged_len).any():
+            grow = block.dmax - self._merged_len
             self._set_merged([
                 np.concatenate([self._merged_row(row), np.zeros(max(extra, 0), dtype=np.int64)])
                 for row, extra in enumerate(grow.tolist())
             ])
         # degree d of row k sits at base[k] + d - 1; the indices are
         # distinct, so the fancy scatter-add is exact
-        per_row = block.starts[1:] - block.starts[:-1]
-        self._merged[block.degrees - 1 + np.repeat(self._merged_base, per_row)] += block.counts
+        index = np.repeat(self._merged_base - 1, block.starts[1:] - block.starts[:-1])
+        index += block.degrees
+        self._merged[index] += block.counts
 
     def pooled(self, quantity: str) -> PooledDistribution:
         """Current cross-window pooled distribution of one quantity."""
@@ -604,7 +607,7 @@ def _analyze_batch(
                 result = WindowResult(*_kernel.payload_products(payload))
             else:
                 result = WindowResult(*sketch_products(*_kernel.payload_columns(payload), config))
-            pairs.append((result, result.histograms.pooled().select(quantities)))
+            pairs.append((result, result.histograms.select(quantities).pooled()))
     return tuple(pairs)
 
 
